@@ -10,14 +10,20 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite, so `make check` in CI
+# catches unformatted code.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 # race runs the race detector over the packages that actually spawn
 # goroutines: the sweep worker pool, the experiment drivers that use it,
-# the shared on-disk result cache, and the concurrent sweep journal.
+# the shared on-disk result cache, the concurrent sweep journal, the
+# workload Ring's producer goroutine, and the serving layer.
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/
+	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/ \
+		./internal/workload/ ./internal/serve/
 
 # fuzz-smoke runs a short fuzzing pass over the trace codec (seeded from
 # testdata/fuzz), catching decoder regressions without a dedicated fuzz farm.
@@ -50,7 +56,7 @@ BENCH_BASELINE ?= BENCH_PR6.json
 BENCH_COUNT ?= 3
 bench-diff:
 	@mkdir -p results
-	$(GO) test -run=^$$ -bench='Access(Batch)?(HugePage|Decoupled|THP|Superpage)|Fig1aBimodal|RowPipeline|ServeStep' -benchtime=1s -count=$(BENCH_COUNT) . > results/bench-raw.txt
+	$(GO) test -run=^$$ -bench='Access(Batch)?(HugePage|Decoupled|THP|Superpage|Hybrid)|Fig1aBimodal|RowPipeline|ServeStep' -benchtime=1s -count=$(BENCH_COUNT) . > results/bench-raw.txt
 	$(GO) test -run=^$$ -bench='ReplayStream|ReplayMaterialized' -benchtime=1s -count=$(BENCH_COUNT) ./internal/workload/ >> results/bench-raw.txt
 	$(GO) test -run=^$$ -bench='TraceDecode' -benchtime=1s -count=$(BENCH_COUNT) ./internal/trace/ >> results/bench-raw.txt
 	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -out results/bench-diff.txt < results/bench-raw.txt
@@ -134,7 +140,7 @@ serve-metrics-smoke:
 # serve-burst drill (serve-smoke), and the serving-telemetry drill
 # (serve-metrics-smoke).
 check: vet test race serve-smoke serve-metrics-smoke
-	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage)' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='BenchmarkAccess(Batch)?(HugePage|Decoupled|THP|Superpage|Hybrid)' -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkFig1aBimodal -benchtime=1x -run=^$$ .
 	$(GO) test -race -bench=BenchmarkAccessBatchDecoupled -benchtime=1x -run=^$$ .
 	$(GO) test -race -run=TestPipelinedRaceSmoke ./internal/experiments/

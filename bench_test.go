@@ -394,22 +394,23 @@ func BenchmarkAccessSuperpage(b *testing.B) {
 	}
 }
 
-// benchAccessBatch drives a staged batch kernel in experiment-sized chunks
-// through one reused scratch, reporting per-access cost. ReportAllocs pins
-// the steady-state zero-allocation contract of the staged paths.
+// benchAccessBatch drives a batch kernel in experiment-sized chunks
+// through mm.AccessChunk with one reused scratch — the staged kernel where
+// the algorithm has one, its AccessBatch otherwise — reporting per-access
+// cost. ReportAllocs pins the steady-state zero-allocation contract of the
+// batch paths.
 func benchAccessBatch(b *testing.B, alg mm.Algorithm) {
 	gen, err := workload.NewBimodal(1<<12, 1<<18, 0.9999, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	reqs := workload.Take(gen, 1<<20)
-	sb, ok := alg.(mm.StagedBatcher)
-	if !ok {
-		b.Fatalf("%s: not a StagedBatcher", alg.Name())
+	if _, ok := alg.(mm.Batcher); !ok {
+		b.Fatalf("%s: not a Batcher", alg.Name())
 	}
 	sc := &mm.Scratch{}
 	const chunk = 4096
-	sb.AccessBatchScratch(reqs[:chunk], sc) // size the scratch outside the timer
+	mm.AccessChunk(alg, reqs[:chunk], sc) // size the scratch outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += chunk {
@@ -418,7 +419,7 @@ func benchAccessBatch(b *testing.B, alg mm.Algorithm) {
 		if rem := b.N - i; rem < n {
 			n = rem
 		}
-		sb.AccessBatchScratch(reqs[lo:lo+n], sc)
+		mm.AccessChunk(alg, reqs[lo:lo+n], sc)
 	}
 }
 
@@ -448,6 +449,27 @@ func BenchmarkAccessBatchDecoupled(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchAccessBatch(b, z)
+}
+
+// BenchmarkAccessBatchHybrid measures the Section 8 hybrid's batch path:
+// the group-key column through Decoupled's two-pass kernel, with g = 8
+// (coverage hmax·g = 64 pages, the e4 adaptive row's setting).
+func BenchmarkAccessBatchHybrid(b *testing.B) {
+	hy, err := mm.NewHybrid(mm.HybridConfig{
+		Decoupled: mm.DecoupledConfig{
+			Alloc:        core.IcebergAlloc,
+			RAMPages:     1 << 16,
+			VirtualPages: 1 << 18,
+			TLBEntries:   1536,
+			ValueBits:    64,
+			Seed:         1,
+		},
+		GroupSize: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchAccessBatch(b, hy)
 }
 
 // BenchmarkAccessBatchTHP measures the fused in-order THP kernel.

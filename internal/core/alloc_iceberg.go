@@ -100,10 +100,9 @@ func (a *IcebergAllocator) Release(v uint64) {
 	if !ok {
 		panic(fmt.Sprintf("core: Release of unassigned page %d", v))
 	}
-	choice := int(code) / a.params.B
-	slot := int(code) % a.params.B
+	choice, slot := a.split(uint64(code))
 	bucket := a.fam.At(choice, v)
-	a.space.freeSlot(bucket, slot)
+	a.space.freeSlot(bucket, int(slot))
 	if choice == 0 {
 		a.front[bucket]--
 	} else {
@@ -124,10 +123,26 @@ func (a *IcebergAllocator) PhysOf(v uint64) (uint64, bool) {
 // Decode implements Allocator: code = choice·B + slot; the bucket for the
 // choice is recomputed from v's hashes.
 func (a *IcebergAllocator) Decode(v uint64, code uint64) uint64 {
-	choice := int(code) / a.params.B
-	slot := code % uint64(a.params.B)
-	bucket := a.fam.At(choice, v)
-	return bucket*uint64(a.params.B) + slot
+	choice, slot := a.split(code)
+	return a.fam.At(choice, v)*uint64(a.params.B) + slot
+}
+
+// split separates code = choice·B + slot with compares and subtracts
+// instead of two divisions by B. A code past the last choice (≥ 3B, which
+// Assign never returns) stays on choice 2 with an out-of-bucket slot:
+// an unspecified address, as the Allocator contract allows, but never an
+// index past the three hash functions.
+func (a *IcebergAllocator) split(code uint64) (choice int, slot uint64) {
+	b := uint64(a.params.B)
+	if code >= b {
+		code -= b
+		choice = 1
+		if code >= b {
+			code -= b
+			choice = 2
+		}
+	}
+	return choice, code
 }
 
 // CodeBound implements Allocator: codes are in [0, 3B).

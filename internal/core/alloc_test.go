@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"addrxlat/internal/bitpack"
 	"addrxlat/internal/hashutil"
 )
 
@@ -409,6 +410,39 @@ func BenchmarkAssignRelease(b *testing.B) {
 				v := warm + uint64(i)
 				if _, ok := a.Assign(v); ok {
 					a.Release(v)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeNeverPanics pins the Allocator contract for codes Assign never
+// returns: Decode's result is then unspecified, but it must not panic. A
+// TLB value field is BitsPerPage wide, so every code in [0, 2^BitsPerPage)
+// can reach f — including, for Iceberg at P=2^16 (B=42, 7-bit fields),
+// codes 126 and 127 past the three choices. The sweep runs through the
+// allocator directly and through the full decoding function.
+func TestDecodeNeverPanics(t *testing.T) {
+	for _, kind := range []AllocKind{FullyAssociative, SingleChoice, IcebergAlloc} {
+		t.Run(string(kind), func(t *testing.T) {
+			p := mkParams(t, kind, 1<<16)
+			a, err := NewAllocator(p, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			value := bitpack.NewFieldArray(p.HMax, p.BitsPerPage)
+			for code := uint64(0); code < 1<<p.BitsPerPage; code++ {
+				for _, v := range []uint64{0, 5, uint64(p.HMax) * 1000, p.V - uint64(p.HMax)} {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("Decode(%d, %d) panicked: %v", v, code, r)
+							}
+						}()
+						a.Decode(v, code)
+						value.Set(int(v%uint64(p.HMax)), code)
+						Decode(a, &p, v, value)
+					}()
 				}
 			}
 		})

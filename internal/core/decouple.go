@@ -26,6 +26,7 @@ type Scheme struct {
 	params Params
 	alloc  Allocator
 	enc    *Encoder
+	dec    decoder // f, with the decode constants hoisted
 
 	failed map[uint64]bool // F: pages in A without a physical address
 
@@ -46,6 +47,7 @@ func NewScheme(p Params, seed uint64) (*Scheme, error) {
 		params: p,
 		alloc:  alloc,
 		enc:    NewEncoder(p),
+		dec:    newDecoder(alloc, &p),
 		failed: make(map[uint64]bool),
 	}, nil
 }
@@ -128,13 +130,13 @@ func (s *Scheme) Snapshot(u uint64) *bitpack.FieldArray { return s.enc.Snapshot(
 // Lookup runs the decoding function f on the *live* TLB value for v's huge
 // page: it returns φ(v), or NullAddress if v is absent (or failed).
 func (s *Scheme) Lookup(v uint64) uint64 {
-	return Decode(s.alloc, s.params, v, s.enc.Value(s.params.HugePage(v)))
+	return s.dec.decode(v, s.enc.Value(v>>s.dec.shift))
 }
 
 // LookupIn runs the decoding function f against a caller-held TLB value
 // (e.g. one latched into the TLB model earlier).
 func (s *Scheme) LookupIn(v uint64, value *bitpack.FieldArray) uint64 {
-	return Decode(s.alloc, s.params, v, value)
+	return s.dec.decode(v, value)
 }
 
 // Failures returns |F|, the number of in-force paging failures.

@@ -355,3 +355,81 @@ func BenchmarkDecode(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSchemeLookupMatchesPhysOf drives random PageIn/PageOut churn up to
+// MaxResident — deep enough that Iceberg takes its back path — and checks
+// the scheme's decode against the allocator at every checkpoint, for every
+// page of the region: Lookup(v) is PhysOf(v) for an allocator-resident
+// page and NullAddress otherwise (absent, or failed and so without a
+// frame), and LookupIn on the live value and the exported Decode both
+// agree with it. The single-choice run finally overfills one bucket so a
+// failed page is checked too.
+func TestSchemeLookupMatchesPhysOf(t *testing.T) {
+	for _, kind := range []AllocKind{FullyAssociative, SingleChoice, IcebergAlloc} {
+		t.Run(string(kind), func(t *testing.T) {
+			s := mkScheme(t, kind, 1<<12, 17)
+			p := s.Params()
+			rng := hashutil.NewRNG(18)
+			region := 4 * p.P
+			check := func(step int) {
+				t.Helper()
+				for v := uint64(0); v < region; v++ {
+					got := s.Lookup(v)
+					if phys, ok := s.Allocator().PhysOf(v); ok {
+						if got != phys {
+							t.Fatalf("step %d: Lookup(%d) = %d, PhysOf = %d", step, v, got, phys)
+						}
+					} else if got != NullAddress {
+						t.Fatalf("step %d: Lookup(%d) = %d for a page without a frame (failed=%v)",
+							step, v, got, s.IsFailed(v))
+					}
+					value := s.Value(p.HugePage(v))
+					if in := s.LookupIn(v, value); in != got {
+						t.Fatalf("step %d: LookupIn(%d) = %d, Lookup = %d", step, v, in, got)
+					}
+					if d := Decode(s.Allocator(), &p, v, value); d != got {
+						t.Fatalf("step %d: Decode(%d) = %d, Lookup = %d", step, v, d, got)
+					}
+				}
+			}
+			var inA []uint64 // the active set A, failed pages included
+			pageOutRandom := func() {
+				i := rng.Intn(len(inA))
+				s.PageOut(inA[i])
+				inA[i] = inA[len(inA)-1]
+				inA = inA[:len(inA)-1]
+			}
+			for step := 1; step <= 60000; step++ {
+				if len(inA) > 0 && (uint64(len(inA)) >= p.MaxResident || rng.Float64() < 0.45) {
+					pageOutRandom()
+				} else if v := rng.Uint64n(region); !s.InActiveSet(v) {
+					s.PageIn(v)
+					inA = append(inA, v)
+				}
+				if step%15000 == 0 {
+					check(step)
+				}
+			}
+			if ia, ok := s.Allocator().(*IcebergAllocator); ok && ia.BackAssigns() == 0 {
+				t.Fatal("churn never reached the Iceberg back path; choices 1 and 2 went unchecked")
+			}
+			if ba, ok := s.Allocator().(*BucketAllocator); ok {
+				target := ba.bucketOf(0)
+				for v := uint64(0); v < region && s.Failures() == 0; v++ {
+					if ba.bucketOf(v) != target || s.InActiveSet(v) {
+						continue
+					}
+					if uint64(len(inA)) >= p.MaxResident {
+						pageOutRandom()
+					}
+					s.PageIn(v)
+					inA = append(inA, v)
+				}
+				if s.Failures() == 0 {
+					t.Fatal("overfilling one bucket produced no paging failure")
+				}
+				check(-1)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"addrxlat/internal/bitpack"
 )
@@ -26,11 +27,32 @@ const NullAddress = ^uint64(0)
 // its (all-absent) field array cached, so churn on a huge page allocates
 // its value exactly once over the encoder's lifetime.
 type Encoder struct {
-	params    Params
+	pageLayout
 	entries   []encEntry          // flat by huge page; arr == nil ⇒ never touched
 	active    int                 // entries with resident > 0
-	absent    uint64              // sentinel code
 	allAbsent *bitpack.FieldArray // shared read-only "no pages resident" value
+}
+
+// pageLayout holds the per-page addressing constants of Params, hoisted
+// out of the per-access path. DeriveParams rounds hmax to a power of two,
+// so r(v) is a shift and v's field index within ψ(r(v)) is a mask: no
+// division, and no copy of Params.
+type pageLayout struct {
+	shift  uint   // log₂ hmax: v >> shift is the huge page r(v)
+	mask   uint64 // hmax − 1: v & mask is v's field index
+	absent uint64 // the absent sentinel code (Params.AbsentCode)
+}
+
+// layoutOf hoists p's addressing constants. hmax must be a power of two.
+func layoutOf(p *Params) pageLayout {
+	if p.HMax <= 0 || p.HMax&(p.HMax-1) != 0 {
+		panic(fmt.Sprintf("core: hmax=%d is not a positive power of two", p.HMax))
+	}
+	return pageLayout{
+		shift:  uint(bits.TrailingZeros64(uint64(p.HMax))),
+		mask:   uint64(p.HMax) - 1,
+		absent: p.AbsentCode(),
+	}
 }
 
 type encEntry struct {
@@ -46,9 +68,8 @@ func NewEncoder(p Params) *Encoder {
 	allAbsent := bitpack.NewFieldArray(p.HMax, p.BitsPerPage)
 	allAbsent.Fill(p.AbsentCode())
 	return &Encoder{
-		params:    p,
-		absent:    p.AbsentCode(),
-		allAbsent: allAbsent,
+		pageLayout: layoutOf(&p),
+		allAbsent:  allAbsent,
 	}
 }
 
@@ -66,8 +87,7 @@ func (e *Encoder) entryFor(u uint64) *encEntry {
 	}
 	ent := &e.entries[u]
 	if ent.arr == nil {
-		ent.arr = bitpack.NewFieldArray(e.params.HMax, e.params.BitsPerPage)
-		ent.arr.Fill(e.absent)
+		ent.arr = e.allAbsent.Clone()
 	}
 	return ent
 }
@@ -78,8 +98,8 @@ func (e *Encoder) PageAdded(v uint64, code uint64) {
 	if code >= e.absent {
 		panic(fmt.Sprintf("core: code %d out of range [0,%d)", code, e.absent))
 	}
-	ent := e.entryFor(e.params.HugePage(v))
-	idx := e.params.PageIndex(v)
+	ent := e.entryFor(v >> e.shift)
+	idx := int(v & e.mask)
 	if ent.arr.Get(idx) != e.absent {
 		panic(fmt.Sprintf("core: PageAdded for already-resident page %d", v))
 	}
@@ -92,12 +112,12 @@ func (e *Encoder) PageAdded(v uint64, code uint64) {
 
 // PageRemoved records that virtual page v left the active set.
 func (e *Encoder) PageRemoved(v uint64) {
-	u := e.params.HugePage(v)
+	u := v >> e.shift
 	if u >= uint64(len(e.entries)) || e.entries[u].arr == nil || e.entries[u].resident == 0 {
 		panic(fmt.Sprintf("core: PageRemoved for page %d with no encoded huge page", v))
 	}
 	ent := &e.entries[u]
-	idx := e.params.PageIndex(v)
+	idx := int(v & e.mask)
 	if ent.arr.Get(idx) == e.absent {
 		panic(fmt.Sprintf("core: PageRemoved for non-resident page %d", v))
 	}
@@ -143,11 +163,47 @@ func (e *Encoder) EncodedHugePages() int { return e.active }
 // virtual page address v and a TLB value ψ(u) for the huge page u ∋ v, it
 // returns φ(v) if v is in the active set and NullAddress otherwise. It is
 // evaluated in O(1) and uses only v, the value bits, and the allocator's
-// fixed random hash functions.
-func Decode(alloc Allocator, p Params, v uint64, value *bitpack.FieldArray) uint64 {
-	code := value.Get(p.PageIndex(v))
-	if code == p.AbsentCode() {
+// fixed random hash functions. Scheme.Lookup runs the same decoder with
+// its constants hoisted once at construction.
+func Decode(alloc Allocator, p *Params, v uint64, value *bitpack.FieldArray) uint64 {
+	d := newDecoder(alloc, p)
+	return d.decode(v, value)
+}
+
+// decoder is the decoding function f with its constants hoisted: the
+// page layout, and the allocator held concretely when it is one of the
+// bucketed schemes, so the per-access decode is a direct call rather than
+// interface dispatch.
+type decoder struct {
+	pageLayout
+	alloc   Allocator
+	iceberg *IcebergAllocator // non-nil when alloc is the Theorem 3 scheme
+	bucket  *BucketAllocator  // non-nil when alloc is the Theorem 1 scheme
+}
+
+func newDecoder(alloc Allocator, p *Params) decoder {
+	d := decoder{pageLayout: layoutOf(p), alloc: alloc}
+	switch a := alloc.(type) {
+	case *IcebergAllocator:
+		d.iceberg = a
+	case *BucketAllocator:
+		d.bucket = a
+	}
+	return d
+}
+
+// decode is f: the code in v's field of value, mapped through the
+// allocator, or NullAddress for the absent sentinel.
+func (d *decoder) decode(v uint64, value *bitpack.FieldArray) uint64 {
+	code := value.Get(int(v & d.mask))
+	if code == d.absent {
 		return NullAddress
 	}
-	return alloc.Decode(v, code)
+	switch {
+	case d.iceberg != nil:
+		return d.iceberg.Decode(v, code)
+	case d.bucket != nil:
+		return d.bucket.Decode(v, code)
+	}
+	return d.alloc.Decode(v, code)
 }

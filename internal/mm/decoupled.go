@@ -166,7 +166,7 @@ func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
 // Access implements Algorithm.
 func (z *Decoupled) Access(v uint64) {
 	z.costs.Accesses++
-	u := z.params.HugePage(v)
+	u := v >> z.hshift
 
 	// --- RAM side (policy Y driving scheme D) ---
 	hit, victim := z.ramY.Access(v)

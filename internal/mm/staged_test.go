@@ -145,3 +145,24 @@ func (s *scalarOnly) Access(uint64) { s.costs.Accesses++ }
 func (s *scalarOnly) Costs() Costs  { return s.costs }
 func (s *scalarOnly) ResetCosts()   { s.costs = Costs{} }
 func (s *scalarOnly) Name() string  { return "scalar-only" }
+
+// TestHybridBatchNoAllocs pins Hybrid's batch path to zero steady-state
+// allocations: the group-key column lives in an on-stack block, and the
+// inner Decoupled kernel reuses its own scratch.
+func TestHybridBatchNoAllocs(t *testing.T) {
+	reqs := stagedTrace(11, 1<<14)
+	for _, withExplain := range []bool{false, true} {
+		h := allAlgorithms(t, 3)[3].(*Hybrid)
+		if withExplain {
+			EnableExplain(h)
+		}
+		h.AccessBatch(reqs) // warm caches, the classifier, and the scratch
+		allocs := testing.AllocsPerRun(5, func() {
+			h.AccessBatch(reqs)
+		})
+		if allocs > 0 {
+			t.Errorf("%s explain=%v: AccessBatch allocates %.1f per call in steady state",
+				h.Name(), withExplain, allocs)
+		}
+	}
+}

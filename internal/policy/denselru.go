@@ -19,12 +19,16 @@ import (
 type DenseLRU struct {
 	capacity int
 	keys     []uint64            // per-slot cached key
-	prev     []int32             // intrusive recency list over slots;
-	next     []int32             // index `capacity` is the sentinel head
+	nodes    []lruNode           // intrusive recency list over slots; index `capacity` is the sentinel head
 	slot     *dense.Table[int32] // key -> slot, -1 when absent
 	size     int
 	freeHead int32 // singly-linked free list threaded through next
 }
+
+// lruNode packs a slot's recency links into one 8-byte node, so a relink
+// touches one cache line per slot instead of one per link array, as
+// RecencyStack's nodes do.
+type lruNode struct{ prev, next int32 }
 
 var _ Policy = (*DenseLRU)(nil)
 
@@ -40,18 +44,16 @@ func NewDenseLRU(capacity int, keyHint uint64) *DenseLRU {
 	l := &DenseLRU{
 		capacity: capacity,
 		keys:     make([]uint64, capacity),
-		prev:     make([]int32, capacity+1),
-		next:     make([]int32, capacity+1),
+		nodes:    make([]lruNode, capacity+1),
 		slot:     dense.NewTable[int32](-1, int(keyHint)),
 	}
 	head := int32(capacity)
-	l.prev[head] = head
-	l.next[head] = head
+	l.nodes[head] = lruNode{prev: head, next: head}
 	// Thread every slot onto the free list.
 	for s := 0; s < capacity-1; s++ {
-		l.next[s] = int32(s + 1)
+		l.nodes[s].next = int32(s + 1)
 	}
-	l.next[capacity-1] = -1
+	l.nodes[capacity-1].next = -1
 	l.freeHead = 0
 	return l
 }
@@ -59,16 +61,17 @@ func NewDenseLRU(capacity int, keyHint uint64) *DenseLRU {
 func (l *DenseLRU) head() int32 { return int32(l.capacity) }
 
 func (l *DenseLRU) unlink(s int32) {
-	l.next[l.prev[s]] = l.next[s]
-	l.prev[l.next[s]] = l.prev[s]
+	n := l.nodes[s]
+	l.nodes[n.prev].next = n.next
+	l.nodes[n.next].prev = n.prev
 }
 
 func (l *DenseLRU) pushFront(s int32) {
 	h := l.head()
-	l.prev[s] = h
-	l.next[s] = l.next[h]
-	l.prev[l.next[h]] = s
-	l.next[h] = s
+	first := l.nodes[h].next
+	l.nodes[s] = lruNode{prev: h, next: first}
+	l.nodes[first].prev = s
+	l.nodes[h].next = s
 }
 
 // AccessSlot requests key and additionally returns the slot now holding it,
@@ -77,7 +80,7 @@ func (l *DenseLRU) pushFront(s int32) {
 // for key, so the caller's value array needs no compaction.
 func (l *DenseLRU) AccessSlot(key uint64) (slot int32, hit bool, victim uint64) {
 	if s := l.slot.At(key); s >= 0 {
-		if l.next[l.head()] != s { // already at front: skip the relink
+		if l.nodes[l.head()].next != s { // already at front: skip the relink
 			l.unlink(s)
 			l.pushFront(s)
 		}
@@ -86,13 +89,13 @@ func (l *DenseLRU) AccessSlot(key uint64) (slot int32, hit bool, victim uint64) 
 	victim = NoEviction
 	var s int32
 	if l.size >= l.capacity {
-		s = l.prev[l.head()] // least recent
+		s = l.nodes[l.head()].prev // least recent
 		l.unlink(s)
 		victim = l.keys[s]
 		l.slot.Delete(victim)
 	} else {
 		s = l.freeHead
-		l.freeHead = l.next[s]
+		l.freeHead = l.nodes[s].next
 		l.size++
 	}
 	l.keys[s] = key
@@ -106,7 +109,7 @@ func (l *DenseLRU) AccessSlot(key uint64) (slot int32, hit bool, victim uint64) 
 // kernels that already hold the slot from SlotOf use it to halve the
 // table lookups of a probe-then-refresh pair. s must be a live slot.
 func (l *DenseLRU) Touch(s int32) {
-	if l.next[l.head()] != s {
+	if l.nodes[l.head()].next != s {
 		l.unlink(s)
 		l.pushFront(s)
 	}
@@ -134,7 +137,7 @@ func (l *DenseLRU) RemoveSlot(key uint64) int32 {
 	}
 	l.unlink(s)
 	l.slot.Delete(key)
-	l.next[s] = l.freeHead
+	l.nodes[s].next = l.freeHead
 	l.freeHead = s
 	l.size--
 	return s
@@ -159,7 +162,7 @@ func (l *DenseLRU) EvictLRU() (key uint64, ok bool) {
 	if l.size == 0 {
 		return 0, false
 	}
-	s := l.prev[l.head()]
+	s := l.nodes[l.head()].prev
 	key = l.keys[s]
 	l.RemoveSlot(key)
 	return key, true
@@ -170,7 +173,7 @@ func (l *DenseLRU) EvictLRU() (key uint64, ok bool) {
 // Allocation-free, unlike Keys.
 func (l *DenseLRU) ScanLRU(fn func(key uint64) bool) {
 	h := l.head()
-	for s := l.prev[h]; s != h; s = l.prev[s] {
+	for s := l.nodes[h].prev; s != h; s = l.nodes[s].prev {
 		if !fn(l.keys[s]) {
 			return
 		}
@@ -182,7 +185,7 @@ func (l *DenseLRU) ScanLRU(fn func(key uint64) bool) {
 func (l *DenseLRU) Keys() []uint64 {
 	keys := make([]uint64, 0, l.size)
 	h := l.head()
-	for s := l.next[h]; s != h; s = l.next[s] {
+	for s := l.nodes[h].next; s != h; s = l.nodes[s].next {
 		keys = append(keys, l.keys[s])
 	}
 	return keys

@@ -44,7 +44,7 @@ type AddressSpace struct {
 	vPages  uint64
 	regions []region // sorted by start, non-overlapping
 	algo    mm.Algorithm
-	batch   mm.Batcher    // algo's batch path, nil if unimplemented
+	batch   mm.Batcher // algo's batch path, nil if unimplemented
 	pt      *pagetable.Table
 	touched *dense.Bitset // pages that have been demand-mapped
 
