@@ -18,12 +18,14 @@ vet:
 		echo "gofmt: these files need formatting:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 # race runs the race detector over the packages that actually spawn
-# goroutines: the sweep worker pool, the experiment drivers that use it,
-# the shared on-disk result cache, the concurrent sweep journal, the
-# workload Ring's producer goroutine, and the serving layer.
+# goroutines or are fed from several: the sweep worker pool, the
+# experiment drivers that use it, the shared on-disk result cache, the
+# concurrent sweep journal, the workload Ring's producer goroutine, the
+# serving layer, the obs Progress goroutine, and the execution tracer
+# that every worker records into.
 race:
 	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/ \
-		./internal/workload/ ./internal/serve/
+		./internal/workload/ ./internal/serve/ ./internal/obs/ ./internal/xtrace/
 
 # fuzz-smoke runs a short fuzzing pass over the trace codec (seeded from
 # testdata/fuzz), catching decoder regressions without a dedicated fuzz farm.
@@ -131,12 +133,12 @@ serve-metrics-smoke:
 
 # check is the pre-commit gate: vet, full tests, race-detector pass over the
 # concurrent packages, a 1-iteration benchmark smoke covering the scalar
-# AND staged-batch Access kernels so the benchmark harness itself can't
-# rot, 1-iteration race-mode runs of the streaming pipeline (Source
-# producer goroutines + per-chunk fan-out) and one staged-batch kernel
-# (scratch reuse across chunks), and a race-mode smoke of the pipelined
-# row executor (Workers=4, lookahead=2: ring publish/release, gate,
-# probe delivery, phase clock), the serving-layer overload +
+# AND AccessBatch kernels so the benchmark harness itself can't rot,
+# 1-iteration race-mode runs of a Figure 1a sweep (chunk-ring producer +
+# per-simulator workers) and one column batch kernel (miss-column reuse
+# across chunks), and a race-mode smoke of the row executor (Workers=4,
+# lookahead=2: ring publish/release, gate, probe delivery, phase clock),
+# the serving-layer overload +
 # serve-burst drill (serve-smoke), and the serving-telemetry drill
 # (serve-metrics-smoke).
 check: vet test race serve-smoke serve-metrics-smoke

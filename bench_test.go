@@ -66,13 +66,13 @@ func BenchmarkFig1aBimodal(b *testing.B) {
 	}
 }
 
-// BenchmarkRowPipeline measures the pipelined row executor on the
-// multi-algorithm Figure 1a row at several Workers settings. workers=1
-// is the sequential barrier executor (the pre-pipeline shape); workers=2
-// and 4 run the bounded-lookahead chunk ring with per-simulator workers.
-// On a single-core host the pipeline can only overlap generation with
-// simulation; the per-sim overlap needs real cores, so interpret the
-// matrix against GOMAXPROCS.
+// BenchmarkRowPipeline measures the row executor on the multi-algorithm
+// Figure 1a row at several Workers settings: the bounded-lookahead chunk
+// ring with per-simulator workers, at most Workers of them simulating at
+// once (workers=1 serves one chunk at a time while the ring's producer
+// still overlaps generation). On a single-core host the executor can only
+// overlap generation with simulation; the per-sim overlap needs real
+// cores, so interpret the matrix against GOMAXPROCS.
 func BenchmarkRowPipeline(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
@@ -394,23 +394,17 @@ func BenchmarkAccessSuperpage(b *testing.B) {
 	}
 }
 
-// benchAccessBatch drives a batch kernel in experiment-sized chunks
-// through mm.AccessChunk with one reused scratch — the staged kernel where
-// the algorithm has one, its AccessBatch otherwise — reporting per-access
-// cost. ReportAllocs pins the steady-state zero-allocation contract of the
-// batch paths.
+// benchAccessBatch drives an algorithm's AccessBatch kernel in
+// experiment-sized chunks, reporting per-access cost. ReportAllocs pins
+// the steady-state zero-allocation contract of the batch paths.
 func benchAccessBatch(b *testing.B, alg mm.Algorithm) {
 	gen, err := workload.NewBimodal(1<<12, 1<<18, 0.9999, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	reqs := workload.Take(gen, 1<<20)
-	if _, ok := alg.(mm.Batcher); !ok {
-		b.Fatalf("%s: not a Batcher", alg.Name())
-	}
-	sc := &mm.Scratch{}
 	const chunk = 4096
-	mm.AccessChunk(alg, reqs[:chunk], sc) // size the scratch outside the timer
+	alg.AccessBatch(reqs[:chunk]) // size reused buffers outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += chunk {
@@ -419,7 +413,7 @@ func benchAccessBatch(b *testing.B, alg mm.Algorithm) {
 		if rem := b.N - i; rem < n {
 			n = rem
 		}
-		mm.AccessChunk(alg, reqs[lo:lo+n], sc)
+		alg.AccessBatch(reqs[lo : lo+n])
 	}
 }
 
@@ -550,7 +544,7 @@ func benchServeSim(b *testing.B, seed uint64, armed bool) *serve.Sim {
 		MaxAttempts: 3,
 		RetryBaseNs: 1000,
 		Governor:    serve.GovernorConfig{WindowNs: 1, QueueHigh: 96, MissNum: 1, MissDen: 5, RecoverDepth: 24, DegradedDiv: 4},
-	}, alg, gen, &mm.Scratch{}, nil)
+	}, alg, gen, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -231,7 +231,8 @@ func main() {
 	if *replay != "" {
 		costs, dumpStats, err = runReplay(ctx, alg, *replay, *warmN, *measN, *dumpTo, rec)
 	} else {
-		costs, err = runGenerated(ctx, alg, warm, meas, rec)
+		costs, err = runPhases(ctx, alg, mm.SliceChunks(warm, workload.DefaultChunk), len(warm),
+			mm.SliceChunks(meas, workload.DefaultChunk), len(meas), rec)
 	}
 	if err != nil {
 		fail(err)
@@ -330,25 +331,25 @@ func main() {
 	flushManifest("ok", "")
 }
 
-// runGenerated is the materialized-window run path: mm.RunWarm semantics
-// with per-phase samples and wall times fed to rec, draining at a chunk
-// boundary when ctx is canceled. Chunking through the sampled runner
-// cannot change the counters (Batcher contract).
-func runGenerated(ctx context.Context, alg mm.Algorithm, warm, meas []uint64, rec *obs.Recorder) (mm.Costs, error) {
+// runPhases is the two-phase methodology on mm.RunPhaseChunksCtx: the
+// warmup chunks, counter reset, the measured chunks, with per-chunk
+// samples and each phase's access count and wall time reported to rec,
+// draining at a chunk boundary when ctx is canceled. Chunking cannot
+// change the counters (the AccessBatch contract).
+func runPhases(ctx context.Context, alg mm.Algorithm, warm mm.ChunkSeq, warmN int, meas mm.ChunkSeq, measN int, rec *obs.Recorder) (mm.Costs, error) {
 	name := alg.Name()
 	start := time.Now()
-	if _, err := mm.RunPhaseSampledCtx(ctx, alg, warm, workload.DefaultChunk, rec, mm.PhaseWarmup); err != nil {
+	if err := mm.RunPhaseChunksCtx(ctx, alg, warm, rec, mm.PhaseWarmup, name); err != nil {
 		return alg.Costs(), err
 	}
-	rec.RowPhase("", mm.PhaseWarmup, name, len(warm), time.Since(start))
+	rec.RowPhase("", mm.PhaseWarmup, name, warmN, time.Since(start))
 	alg.ResetCosts()
 	start = time.Now()
-	c, err := mm.RunPhaseSampledCtx(ctx, alg, meas, workload.DefaultChunk, rec, mm.PhaseMeasured)
-	if err != nil {
-		return c, err
+	if err := mm.RunPhaseChunksCtx(ctx, alg, meas, rec, mm.PhaseMeasured, name); err != nil {
+		return alg.Costs(), err
 	}
-	rec.RowPhase("", mm.PhaseMeasured, name, len(meas), time.Since(start))
-	return c, nil
+	rec.RowPhase("", mm.PhaseMeasured, name, measN, time.Since(start))
+	return alg.Costs(), nil
 }
 
 // writeExplain renders the recorded attribution snapshot to <base>.tsv
@@ -443,96 +444,55 @@ func runReplay(ctx context.Context, alg mm.Algorithm, path string, warmN, measN 
 		return mm.Costs{}, "", err
 	}
 
+	// Both windows decode into one chunk buffer; each chunk is fully
+	// serviced before the next is read. dump, when set, sees every chunk
+	// it yields; its first error ends the stream.
 	buf := make([]uint64, workload.DefaultChunk)
-	window := func(n int, each func([]uint64) error) error {
-		for n > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+	var dumpErr error
+	chunks := func(n int, dump func([]uint64) error) mm.ChunkSeq {
+		return func() ([]uint64, bool) {
+			if n == 0 || dumpErr != nil {
+				return nil, false
 			}
-			c := len(buf)
-			if n < c {
-				c = n
+			c := buf[:min(n, len(buf))]
+			sr.NextBatch(c)
+			n -= len(c)
+			if dump != nil {
+				dumpErr = dump(c)
 			}
-			sr.NextBatch(buf[:c])
-			if err := each(buf[:c]); err != nil {
-				return err
-			}
-			n -= c
+			return c, true
 		}
-		return nil
 	}
-	name := alg.Name()
-	phase := mm.PhaseWarmup
-	// The replay loop bypasses the mm runners, so it carries its own trace
-	// timeline: chunk spans here, phase spans around each window below.
-	var th *xtrace.Thread
-	if tr := xtrace.Active(); tr != nil {
-		th = tr.Worker("", name)
-	}
-	serve := func(chunk []uint64) error {
-		var chunkStart int64
-		if th != nil {
-			chunkStart = th.Now()
-		}
-		if b, ok := alg.(mm.Batcher); ok {
-			b.AccessBatch(chunk)
-		} else {
-			for _, v := range chunk {
-				alg.Access(v)
-			}
-		}
-		rec.Sample(phase, name, alg.Costs())
-		if th != nil {
-			th.Span(phase, xtrace.CatChunk, chunkStart, xtrace.ArgInt("n", int64(len(chunk))))
-		}
-		return nil
+	if dumpTo == "" {
+		c, err := runPhases(ctx, alg, chunks(warmN, nil), warmN, chunks(measN, nil), measN, rec)
+		return c, "", err
 	}
 
-	start := time.Now()
-	phaseStart := th.Now()
-	if err := window(warmN, serve); err != nil {
+	// The measured window is re-encoded to dumpTo as it streams.
+	out, err := os.Create(dumpTo)
+	if err != nil {
 		return mm.Costs{}, "", err
 	}
-	th.Span(mm.PhaseWarmup, xtrace.CatPhase, phaseStart)
-	rec.RowPhase("", mm.PhaseWarmup, name, warmN, time.Since(start))
-	alg.ResetCosts()
-	phase = mm.PhaseMeasured
-	start = time.Now()
-	phaseStart = th.Now()
-	defer func() { th.Span(mm.PhaseMeasured, xtrace.CatPhase, phaseStart) }()
-
-	var dumpStats string
-	if dumpTo == "" {
-		if err := window(measN, serve); err != nil {
-			return mm.Costs{}, "", err
-		}
-	} else {
-		out, err := os.Create(dumpTo)
-		if err != nil {
-			return mm.Costs{}, "", err
-		}
-		defer out.Close()
-		tw, err := trace.NewWriter(out, uint64(measN))
-		if err != nil {
-			return mm.Costs{}, "", err
-		}
-		var acc trace.Accumulator
-		if err := window(measN, func(chunk []uint64) error {
-			if err := serve(chunk); err != nil {
-				return err
-			}
-			acc.Add(chunk)
-			return tw.Write(chunk)
-		}); err != nil {
-			return mm.Costs{}, "", err
-		}
-		if err := tw.Close(); err != nil {
-			return mm.Costs{}, "", err
-		}
-		dumpStats = acc.Stats().String()
+	defer out.Close()
+	tw, err := trace.NewWriter(out, uint64(measN))
+	if err != nil {
+		return mm.Costs{}, "", err
 	}
-	rec.RowPhase("", mm.PhaseMeasured, name, measN, time.Since(start))
-	return alg.Costs(), dumpStats, nil
+	var acc trace.Accumulator
+	c, err := runPhases(ctx, alg, chunks(warmN, nil), warmN, chunks(measN, func(chunk []uint64) error {
+		acc.Add(chunk)
+		return tw.Write(chunk)
+	}), measN, rec)
+	if err == nil {
+		err = dumpErr
+	}
+	if err != nil {
+		return mm.Costs{}, "", err
+	}
+	if err := tw.Close(); err != nil {
+		return mm.Costs{}, "", err
+	}
+	return c, acc.Stats().String(), nil
 }
 
 func allocName(s string) string {
@@ -750,7 +710,7 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig)
 			RecoverDepth: cfg.queueCap / 5,
 			DegradedDiv:  4,
 		},
-	}, alg, gen, &mm.Scratch{}, ec)
+	}, alg, gen, ec)
 	if err != nil {
 		return obs.RunRecord{}, err
 	}

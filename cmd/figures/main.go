@@ -117,7 +117,7 @@ func main() {
 		httpAddr  = flag.String("http", "", "serve live sweep counters (expvar) on this address, e.g. :8321")
 		progress  = flag.Bool("progress", true, "print live per-experiment progress with ETA to stderr")
 		resume    = flag.String("resume", "", "resume an interrupted run from its manifest: restores the recorded flags (explicit flags here win) and skips journaled experiments")
-		workers   = flag.Int("workers", 0, "max concurrent simulations per streaming row / tasks per sweep (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+		workers   = flag.Int("workers", 0, "max concurrent simulations per streaming row / tasks per sweep (0 = GOMAXPROCS, 1 = one at a time); results are identical at any setting")
 		lookahead = flag.Int("lookahead", 0, "chunks the row generator may run ahead of the slowest simulator in pipelined rows (0 = default); affects only overlap, never results")
 		traceF    = flag.String("trace", "", "export a Perfetto-loadable execution trace (Chrome trace-event JSON) of the sweep to this file; also derives <experiment>.timeline.tsv straggler reports next to the outputs. Results stay byte-identical")
 		serveMet  = flag.Bool("serve-metrics", false, "arm the virtual-time window collector on serve sweeps (sv1/sv2; sv3 always arms it): per-window counters/gauges/quantiles, SLO verdicts, and slowest-request exemplars, written as <table>.serve.metrics.tsv next to the outputs and recorded in the manifest. Tables stay byte-identical")

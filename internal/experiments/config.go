@@ -39,13 +39,14 @@ type Scale struct {
 	SpaceDiv uint64
 	// AccessDiv divides the warmup and measured access counts.
 	AccessDiv uint64
-	// Workers bounds the goroutines a sweep may fan out across: the
-	// concurrent (row, algorithm) simulations of the pipelined row
-	// executor, and the per-parameter-point tasks of the materialized
-	// sweeps. 0 means GOMAXPROCS. 1 forces everything sequential —
-	// results are identical either way, since every simulator is
-	// independently seeded and lands in an order-stable slot (pinned by
-	// TestFig1Deterministic and TestPipelinedMatchesSequential).
+	// Workers bounds the goroutines a sweep may simulate on at once: the
+	// concurrent (row, algorithm) simulations of the row executor, and
+	// the per-parameter-point tasks of the materialized sweeps. 0 means
+	// GOMAXPROCS. 1 simulates one chunk or task at a time (the row's
+	// chunk-ring producer still overlaps generation) — results are
+	// identical either way, since every simulator is independently seeded
+	// and lands in an order-stable slot (pinned by TestFig1Deterministic
+	// and TestPipelinedMatchesSequential).
 	Workers int
 	// Lookahead bounds how many chunks the row generator may run ahead
 	// of the slowest simulator in the pipelined row executor — the depth
@@ -185,8 +186,8 @@ func (s Scale) forEach(n int, fn func(i int) error) error {
 	return parallel.ForEachCtx(s.context(), n, s.Workers, fn)
 }
 
-// rowWorkers resolves the Workers default for the pipelined row
-// executor: how many simulations may run concurrently within one row.
+// rowWorkers resolves the Workers default for the row executor: how many
+// simulations may run concurrently within one row.
 func (s Scale) rowWorkers() int {
 	if s.Workers > 0 {
 		return s.Workers
@@ -195,7 +196,7 @@ func (s Scale) rowWorkers() int {
 }
 
 // lookahead resolves the Lookahead default: the chunk-ring depth of the
-// pipelined row executor.
+// row executor.
 func (s Scale) lookahead() int {
 	if s.Lookahead > 0 {
 		return s.Lookahead

@@ -63,22 +63,21 @@ func crossOnce(ws *watchState, clock *phaseClock) {
 // in the identical chunks (the ring publishes one stream; consumers only
 // differ in when they read it), each worker services its chunks in order,
 // and each worker resets its own counters exactly at the segment 0 → 1
-// edge — so final counters, probe samples, and explain snapshots are
-// byte-identical to the sequential executor's (pinned by
-// TestPipelinedMatchesSequential). Per-sim scratch stays pinned to its
-// worker; no allocation happens in the chunk loop.
+// edge — so final counters, probe samples, and explain snapshots equal
+// per-cell mm.RunWarm over the materialized windows at every Workers
+// setting (pinned by TestPipelinedMatchesSequential). No allocation
+// happens in the chunk loop.
 //
 // Failure shapes match runRow's contract: a panic while serving one
 // simulator poisons only that cell (the worker detaches from the ring and
 // the survivors keep streaming); a canceled context stops every worker at
 // a chunk boundary and is returned as the row-fatal error.
-func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm.Algorithm, scratch []*mm.Scratch, cellErrs []error, names []string, workers int) error {
+func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm.Algorithm, cellErrs []error, names []string, workers int) error {
 	ctx := s.context()
 	row := string(m.workload)
 
-	// The sweep-kill fault point fires from the producer, preserving the
-	// sequential executor's per-chunk cadence (crash-resume drills need a
-	// kill mid-row, not at a row edge).
+	// The sweep-kill fault point fires from the producer once per chunk
+	// (crash-resume drills need a kill mid-row, not at a row edge).
 	var hook func(seq, segment, index int)
 	if faultinject.Armed() {
 		hook = func(seq, segment, index int) {
@@ -87,11 +86,18 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 			}
 		}
 	}
-	// Tracing (when armed) gives the ring producer its own timeline:
-	// wait-for-consumers spans plus the in-flight / backpressure counter
-	// tracks. RingThread and WithTrace are nil-safe, so the disarmed cost
-	// is the one Active() load above this call.
+	// Tracing (when armed) gives the row its own timeline with the row's
+	// lifecycle span, and the ring producer another: wait-for-consumers
+	// spans plus the in-flight / backpressure counter tracks. RingThread
+	// and WithTrace are nil-safe, so the disarmed cost of the whole row is
+	// this one Active() load.
 	tr := xtrace.Active()
+	var rowStart int64
+	if tr != nil {
+		rowTh := tr.RowThread(row)
+		rowStart = tr.Now()
+		defer func() { rowTh.Span(row, xtrace.CatRow, rowStart) }()
+	}
 	ring, err := workload.NewRing(gen, streamChunk, []int{m.warmupN, m.measuredN},
 		s.lookahead(), len(sims), workload.WithFillHook(hook),
 		workload.WithTrace(tr.RingThread(row)))
@@ -124,40 +130,19 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 
 	clock := &phaseClock{left: len(sims)}
 	start := time.Now()
-	// Every worker's timeline starts at this dispatch stamp, not at its
+	// Every worker's timeline starts at the row span's start, not at its
 	// first scheduling: until a worker runs, it is by definition waiting on
-	// the generator's lead chunks, and charging that ramp to wait-generation
-	// is what keeps busy+blocked ≈ row wall even on saturated machines.
-	spawnTS := tr.Now()
-	var grpErr error
-	if wd := s.Watchdog; wd > 0 {
-		grpErr = m.runWorkersWatched(s, wd, ring, gate, clock, sims, scratch, cellErrs, names, row, spawnTS)
-	} else {
-		// No watchdog (the default, and the path the byte-identity tests
-		// pin): plain structured join.
-		grp := parallel.NewGroup(len(sims))
-		for i := range sims {
-			i := i
-			grp.Go(i, func() error {
-				var werr error
-				// The pprof labels make CPU profiles attribute pipeline time
-				// per (row, algorithm) worker.
-				pprof.Do(ctx, pprof.Labels("addrxlat_row", row, "addrxlat_alg", names[i]), func(context.Context) {
-					werr = m.simWorker(s, ring, gate, clock, sims[i], scratch[i], cellErrs, names, row, i, spawnTS, nil)
-				})
-				return werr
-			})
-		}
-		grpErr = grp.Wait()
-	}
-
+	// the ring and the generator's lead chunks, and charging that ramp to
+	// wait-generation is what keeps busy+blocked ≈ row wall even on
+	// saturated machines.
+	werr := m.runWorkers(s, ring, gate, clock, sims, cellErrs, names, row, rowStart)
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("experiments: row %s canceled at a chunk boundary: %w", row, cerr)
 	}
-	if grpErr != nil {
+	if werr != nil {
 		// Not cancellation and not a per-cell panic (those land in
 		// cellErrs): a harness failure, fatal for the row.
-		return grpErr
+		return werr
 	}
 	if s.Probe != nil {
 		warmupAt := clock.crossedAt()
@@ -173,22 +158,26 @@ func (m *fig1Machine) runRowPipelined(s Scale, gen workload.Generator, sims []mm
 	return nil
 }
 
-// runWorkersWatched is the watchdog variant of the worker join: every
-// worker heartbeats through a watchState, and a monitor goroutine
-// declares any worker that spends longer than wd inside one chunk
-// stalled — the cell degrades to a footnoted error row, the worker's gate
-// slot and ring references are reclaimed so the rest of the row keeps
-// streaming, and the collector is signaled on the worker's behalf (a
-// structured Group.Wait would wedge on the stuck goroutine, which is the
-// exact failure the watchdog exists to survive). The stuck goroutine
-// itself is not killed — Go cannot — but everything it owned is released
-// and its results are discarded.
-func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, scratch []*mm.Scratch, cellErrs []error, names []string, row string, spawnTS int64) error {
+// runWorkers starts one pprof-labelled simWorker goroutine per simulator
+// and joins them through a done channel, one token per worker. With
+// s.Watchdog > 0 every worker heartbeats through a watchState and a
+// monitor goroutine declares any worker that spends longer than the
+// watchdog inside one chunk stalled — the cell degrades to a footnoted
+// error row, the worker's gate slot and ring references are reclaimed so
+// the rest of the row keeps streaming, and the monitor sends the stalled
+// worker's token itself (a join that waited on the stuck goroutine would
+// wedge, which is the exact failure the watchdog exists to survive). The
+// stuck goroutine itself is not killed — Go cannot — but everything it
+// owned is released and its results are discarded.
+func (m *fig1Machine) runWorkers(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, sims []mm.Algorithm, cellErrs []error, names []string, row string, spawnTS int64) error {
 	ctx := s.context()
-	tr := xtrace.Active()
-	wss := make([]*watchState, len(sims))
-	for i := range wss {
-		wss[i] = &watchState{}
+	wd := s.Watchdog
+	var wss []*watchState
+	if wd > 0 {
+		wss = make([]*watchState, len(sims))
+		for i := range wss {
+			wss[i] = &watchState{}
+		}
 	}
 	// One token per worker, sent by the worker itself on a clean return or
 	// by the monitor when it declares the worker stalled — never both: the
@@ -196,11 +185,16 @@ func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workloa
 	done := make(chan int, len(sims))
 	werrs := make([]error, len(sims))
 	for i := range sims {
-		i := i
+		var ws *watchState
+		if wss != nil {
+			ws = wss[i]
+		}
 		go func() {
 			var werr error
+			// The pprof labels make CPU profiles attribute pipeline time
+			// per (row, algorithm) worker.
 			pprof.Do(ctx, pprof.Labels("addrxlat_row", row, "addrxlat_alg", names[i]), func(context.Context) {
-				werr = m.simWorker(s, ring, gate, clock, sims[i], scratch[i], cellErrs, names, row, i, spawnTS, wss[i])
+				werr = m.simWorker(s, ring, gate, clock, sims[i], cellErrs, names, row, i, spawnTS, ws)
 			})
 			if errors.Is(werr, errStalled) {
 				return // the monitor already signaled for this slot
@@ -210,45 +204,48 @@ func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workloa
 		}()
 	}
 
-	stopMon := make(chan struct{})
-	go func() {
-		tick := wd / 4
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopMon:
-				return
-			case <-t.C:
+	if wd > 0 {
+		stopMon := make(chan struct{})
+		defer close(stopMon)
+		tr := xtrace.Active()
+		go func() {
+			tick := wd / 4
+			if tick < time.Millisecond {
+				tick = time.Millisecond
 			}
-			now := time.Now().UnixNano()
-			for i, ws := range wss {
-				if ws.state.Load() != wsServing || now-ws.beat.Load() <= int64(wd) {
-					continue
+			t := time.NewTicker(tick)
+			defer t.Stop()
+			for {
+				select {
+				case <-stopMon:
+					return
+				case <-t.C:
 				}
-				if !ws.state.CompareAndSwap(wsServing, wsStalled) {
-					continue // finished the chunk between the load and the CAS
+				now := time.Now().UnixNano()
+				for i, ws := range wss {
+					if ws.state.Load() != wsServing || now-ws.beat.Load() <= int64(wd) {
+						continue
+					}
+					if !ws.state.CompareAndSwap(wsServing, wsStalled) {
+						continue // finished the chunk between the load and the CAS
+					}
+					cur := int(ws.cursor.Load())
+					cellErrs[i] = fmt.Errorf("experiments: cell %s|%s stalled: no progress within %v on chunk %d (watchdog)",
+						row, names[i], wd, cur)
+					tr.Instant(xtrace.InstantQuarantine,
+						xtrace.ArgStr("cell", row+"|"+names[i]), xtrace.ArgStr("reason", "stalled"))
+					gate.Leave()
+					ring.Release(cur)
+					ring.DetachFrom(cur + 1)
+					crossOnce(ws, clock)
+					done <- i
 				}
-				cur := int(ws.cursor.Load())
-				cellErrs[i] = fmt.Errorf("experiments: cell %s|%s stalled: no progress within %v on chunk %d (watchdog)",
-					row, names[i], wd, cur)
-				tr.Instant(xtrace.InstantQuarantine,
-					xtrace.ArgStr("cell", row+"|"+names[i]), xtrace.ArgStr("reason", "stalled"))
-				gate.Leave()
-				ring.Release(cur)
-				ring.DetachFrom(cur + 1)
-				crossOnce(ws, clock)
-				done <- i
 			}
-		}
-	}()
+		}()
+	}
 	for range sims {
 		<-done
 	}
-	close(stopMon)
 	for _, werr := range werrs {
 		if werr != nil {
 			return werr
@@ -262,7 +259,7 @@ func (m *fig1Machine) runWorkersWatched(s Scale, wd time.Duration, ring *workloa
 // edge. It returns nil for a poisoned cell (recorded in cellErrs[i]),
 // errStalled when the watchdog reclaimed the cell mid-chunk, and any
 // other error only for cancellation. ws is nil when no watchdog is armed.
-func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, a mm.Algorithm, sc *mm.Scratch, cellErrs []error, names []string, row string, i int, spawnTS int64, ws *watchState) error {
+func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gate, clock *phaseClock, a mm.Algorithm, cellErrs []error, names []string, row string, i int, spawnTS int64, ws *watchState) error {
 	ctx := s.context()
 	ep := s.explainProbe()
 	cur, seg := 0, 0
@@ -270,16 +267,19 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 
 	// One trace timeline per (row, simulator) worker, recorded only at the
 	// chunk boundaries this loop already observes. The worker span and the
-	// first phase and wait-generation spans all open at the row's dispatch
-	// stamp, so scheduler and spawn delay land in wait time, keeping
-	// busy+blocked ≈ wall.
+	// first phase and wait-generation spans all open at the row span's
+	// start (spawnTS), so ring set-up, scheduler and spawn delay land in
+	// wait time. The wait and chunk spans tile the worker's timeline: each
+	// starts at mark, where the previous one ended, so time the worker
+	// spends between spans (ring bookkeeping, or being descheduled on a
+	// loaded host) is attributed too, keeping busy+blocked ≈ wall.
 	tr := xtrace.Active()
 	var th *xtrace.Thread
-	var wStart, phaseStart int64
+	var wStart, phaseStart, mark int64
 	if tr != nil {
 		th = tr.Worker(row, names[i])
 		wStart = spawnTS
-		phaseStart = wStart
+		phaseStart, mark = wStart, wStart
 	}
 	defer func() {
 		// Trailing phase and worker spans, on every exit path (end of
@@ -294,19 +294,11 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			return fmt.Errorf("experiments: cell %s|%s canceled at a %s chunk boundary: %w",
 				row, names[i], pipePhase(seg), cerr)
 		}
-		var genStart int64
-		if th != nil {
-			if cur == 0 {
-				// The worker's ramp — dispatch to first chunk — is time the
-				// generator's lead chunks were not yet published.
-				genStart = spawnTS
-			} else {
-				genStart = th.Now()
-			}
-		}
+		genStart := mark
 		c, ok := ring.Get(cur)
 		if th != nil {
-			th.Span(xtrace.WaitGeneration, xtrace.CatWait, genStart, xtrace.ArgInt("seq", int64(cur)))
+			mark = th.Now()
+			th.SpanAt(xtrace.WaitGeneration, xtrace.CatWait, genStart, mark, xtrace.ArgInt("seq", int64(cur)))
 		}
 		if !ok {
 			if cerr := ctx.Err(); cerr != nil {
@@ -319,10 +311,10 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 		if c.Segment != seg {
 			// Warmup → measured edge: this worker's own counter reset, no
 			// cross-simulator barrier. The ring never straddles segments, so
-			// the reset lands exactly where the sequential executor puts it.
+			// the reset lands exactly where mm.RunWarm puts it.
 			if th != nil {
-				th.Span(pipePhase(seg), xtrace.CatPhase, phaseStart)
-				phaseStart = th.Now()
+				th.SpanAt(pipePhase(seg), xtrace.CatPhase, phaseStart, mark)
+				phaseStart = mark
 			}
 			seg = c.Segment
 			a.ResetCosts()
@@ -331,18 +323,13 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 				crossOnce(ws, clock)
 			}
 		}
-		var admitStart int64
-		if th != nil && gate != nil {
-			admitStart = th.Now()
-		}
+		admitStart := mark
 		gate.Enter()
 		if th != nil && gate != nil {
-			th.Span(xtrace.WaitAdmission, xtrace.CatWait, admitStart)
+			mark = th.Now()
+			th.SpanAt(xtrace.WaitAdmission, xtrace.CatWait, admitStart, mark)
 		}
-		var chunkStart int64
-		if th != nil {
-			chunkStart = th.Now()
-		}
+		chunkStart := mark
 		if ws != nil {
 			// Heartbeat for the watchdog: cursor and beat first, then the
 			// idle→serving flip the monitor keys on.
@@ -350,7 +337,7 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			ws.beat.Store(time.Now().UnixNano())
 			ws.state.Store(wsServing)
 		}
-		cellErr := m.serveChunk(s, ep, a, sc, c.Data, row, pipePhase(seg), names[i], ws)
+		cellErr := m.serveChunk(s, ep, a, c.Data, row, pipePhase(seg), names[i], ws)
 		if ws != nil && !ws.state.CompareAndSwap(wsServing, wsIdle) {
 			// The monitor won the race: it already recorded the stall,
 			// released this worker's ring references and gate slot, and
@@ -358,7 +345,8 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 			return errStalled
 		}
 		if th != nil {
-			th.Span(pipePhase(seg), xtrace.CatChunk, chunkStart,
+			mark = th.Now()
+			th.SpanAt(pipePhase(seg), xtrace.CatChunk, chunkStart, mark,
 				xtrace.ArgInt("seq", int64(c.Seq)), xtrace.ArgInt("n", int64(len(c.Data))))
 		}
 		gate.Leave()
@@ -383,12 +371,10 @@ func (m *fig1Machine) simWorker(s Scale, ring *workload.Ring, gate *parallel.Gat
 	return nil
 }
 
-// serveChunk services one chunk on one simulator — the pipelined
-// counterpart of streamWindow's serve closure, with the identical probe
-// and fault-injection points at the identical chunk boundaries. A panic
-// (algorithm bug or injected cell fault) is recovered into the returned
-// error.
-func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, sc *mm.Scratch, chunk []uint64, row, phase, name string, ws *watchState) (err error) {
+// serveChunk services one chunk on one simulator, with the probe and
+// fault-injection points at the chunk boundary. A panic (algorithm bug or
+// injected cell fault) is recovered into the returned error.
+func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, chunk []uint64, row, phase, name string, ws *watchState) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: cell %s|%s panicked: %v", row, name, r)
@@ -416,7 +402,7 @@ func (m *fig1Machine) serveChunk(s Scale, ep ExplainProbe, a mm.Algorithm, sc *m
 			time.Sleep(time.Millisecond)
 		}
 	}
-	accessAll(a, chunk, sc)
+	a.AccessBatch(chunk)
 	if s.Probe != nil {
 		s.Probe.RowSample(row, phase, name, a.Costs())
 		if ep != nil {

@@ -38,23 +38,28 @@ func pipelineArtifacts(t *testing.T, run func(Scale, uint64) (*Table, error), s 
 	return table, curves, explainTSV
 }
 
-// TestPipelinedMatchesSequential is the pipelined executor's regression
-// guard: for each probe mode (bare, -sample, -explain) and several seeds,
-// the tables — and with a probe, the sample-curve and explain TSVs — must
-// be byte-identical between Workers=1 (the sequential barrier executor)
-// and pipelined Workers settings. The pipeline only changes when chunks
-// are simulated, never what any simulator observes.
+// TestPipelinedMatchesSequential is the row executor's regression guard
+// against an independent reference: for each probe mode (bare, -sample,
+// -explain), several seeds and Workers ∈ {1, 4, GOMAXPROCS}, the table
+// must equal the materialized reference (per-cell mm.RunWarm over the
+// whole windows, fig1MaterializedTSV / crossoverMaterializedTSV), and the
+// sample-curve and explain TSVs must be byte-identical across the Workers
+// settings. Workers only changes when chunks are simulated, never what
+// any simulator observes.
 func TestPipelinedMatchesSequential(t *testing.T) {
 	base := Scale{SpaceDiv: 4096, AccessDiv: 500} // ≥3 chunks per window: real lookahead
 	experiments := []struct {
 		name string
 		run  func(Scale, uint64) (*Table, error)
+		ref  func(*testing.T, Scale, uint64) string
 	}{
-		{"fig1a", func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) }},
-		{"crossover", Crossover},
+		{"fig1a",
+			func(s Scale, seed uint64) (*Table, error) { return Fig1(F1aBimodal, s, seed) },
+			func(t *testing.T, s Scale, seed uint64) string { return fig1MaterializedTSV(t, F1aBimodal, s, seed) }},
+		{"crossover", Crossover, crossoverMaterializedTSV},
 	}
-	workerSettings := []int{4}
-	if n := runtime.GOMAXPROCS(0); n > 1 && n != 4 {
+	workerSettings := []int{1, 4}
+	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
 		workerSettings = append(workerSettings, n)
 	}
 	modes := []struct {
@@ -69,39 +74,35 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 
 	for _, seed := range []uint64{1, 7, 42} {
 		for _, e := range experiments {
+			wantTab := e.ref(t, base, seed)
 			for _, mode := range modes {
-				seq := base
-				seq.Workers = 1
-				var seqRec *obs.Recorder
-				if mode.sample {
-					seqRec = obs.NewRecorder(50_000)
-					seq.Probe = seqRec
-					seq.Explain = mode.explain
-				}
-				wantTab, wantCurves, wantExplain := pipelineArtifacts(t, e.run, seq, seed, seqRec)
-
-				for _, w := range workerSettings {
-					pipe := base
-					pipe.Workers = w
-					pipe.Lookahead = 2
-					var pipeRec *obs.Recorder
+				var firstCurves, firstExplain string
+				for k, w := range workerSettings {
+					s := base
+					s.Workers = w
+					s.Lookahead = 2
+					var rec *obs.Recorder
 					if mode.sample {
-						pipeRec = obs.NewRecorder(50_000)
-						pipe.Probe = pipeRec
-						pipe.Explain = mode.explain
+						rec = obs.NewRecorder(50_000)
+						s.Probe = rec
+						s.Explain = mode.explain
 					}
-					gotTab, gotCurves, gotExplain := pipelineArtifacts(t, e.run, pipe, seed, pipeRec)
+					gotTab, gotCurves, gotExplain := pipelineArtifacts(t, e.run, s, seed, rec)
 					if gotTab != wantTab {
-						t.Errorf("%s seed %d %s: table differs at Workers=%d\npipelined:\n%s\nsequential:\n%s",
+						t.Errorf("%s seed %d %s: table differs from the materialized reference at Workers=%d\ngot:\n%s\nreference:\n%s",
 							e.name, seed, mode.name, w, gotTab, wantTab)
 					}
-					if gotCurves != wantCurves {
-						t.Errorf("%s seed %d %s: curves TSV differs at Workers=%d\npipelined:\n%s\nsequential:\n%s",
-							e.name, seed, mode.name, w, gotCurves, wantCurves)
+					if k == 0 {
+						firstCurves, firstExplain = gotCurves, gotExplain
+						continue
 					}
-					if gotExplain != wantExplain {
-						t.Errorf("%s seed %d %s: explain TSV differs at Workers=%d\npipelined:\n%s\nsequential:\n%s",
-							e.name, seed, mode.name, w, gotExplain, wantExplain)
+					if gotCurves != firstCurves {
+						t.Errorf("%s seed %d %s: curves TSV differs between Workers=%d and Workers=%d\n%s\nvs\n%s",
+							e.name, seed, mode.name, w, workerSettings[0], gotCurves, firstCurves)
+					}
+					if gotExplain != firstExplain {
+						t.Errorf("%s seed %d %s: explain TSV differs between Workers=%d and Workers=%d\n%s\nvs\n%s",
+							e.name, seed, mode.name, w, workerSettings[0], gotExplain, firstExplain)
 					}
 				}
 			}

@@ -10,7 +10,7 @@ import (
 // the sweeps with a Probe attached must produce byte-identical tables to
 // running them bare, at several seeds. The probe only observes counters at
 // chunk boundaries, and chunking an AccessBatch changes no state
-// transitions (the Batcher contract), so any divergence here means a hook
+// transitions (the AccessBatch contract), so any divergence here means a hook
 // leaked into the access path.
 func TestSampledRunsByteIdentical(t *testing.T) {
 	base := Scale{SpaceDiv: 4096, AccessDiv: 10000}

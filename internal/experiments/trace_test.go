@@ -13,7 +13,7 @@ import (
 // TestSampledRunsByteIdentical for execution tracing: running a sweep with
 // a Tracer installed must produce byte-identical tables — and, with a
 // probe, sample-curve and explain TSVs — to running it bare, across seeds
-// and probe modes, on both executors. The tracer only stamps wall-clock
+// and probe modes, at one worker and at four. The tracer only stamps wall-clock
 // spans at chunk boundaries; any divergence means tracing leaked into the
 // simulated state. Each traced run's export must also pass the trace
 // schema/nesting validator.
@@ -23,8 +23,8 @@ func TestTraceByteIdentical(t *testing.T) {
 		name string
 		base Scale
 	}{
-		{"sequential", Scale{SpaceDiv: 4096, AccessDiv: 10000}},
-		{"pipelined", Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Lookahead: 2}},
+		{"one-worker", Scale{SpaceDiv: 4096, AccessDiv: 10000, Workers: 1}},
+		{"four-workers", Scale{SpaceDiv: 4096, AccessDiv: 500, Workers: 4, Lookahead: 2}},
 	}
 	modes := []struct {
 		name    string

@@ -58,7 +58,6 @@ type Coalesced struct {
 }
 
 var _ Algorithm = (*Coalesced)(nil)
-var _ Batcher = (*Coalesced)(nil)
 
 // NewCoalesced builds the baseline.
 func NewCoalesced(cfg CoalescedConfig) (*Coalesced, error) {
@@ -148,7 +147,7 @@ func (m *Coalesced) Access(v uint64) {
 	}
 }
 
-// AccessBatch implements Batcher.
+// AccessBatch implements Algorithm.
 func (m *Coalesced) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		m.Access(v)

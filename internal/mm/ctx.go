@@ -6,54 +6,20 @@ import (
 	"addrxlat/internal/xtrace"
 )
 
-// cancelChunk is the request granularity the context-aware runners check
-// cancellation at when no sampling interval is set: large enough that the
-// per-chunk ctx.Err() load is noise against 65536 simulated accesses,
-// small enough that a SIGINT drains within microseconds of work.
-const cancelChunk = 1 << 16
-
-// RunWarmCtx is RunWarm with cooperative cancellation: both windows are
-// serviced in cancelChunk pieces with a context check between pieces, so
-// a canceled sweep stops at a chunk boundary instead of finishing a
-// multi-million-access window. By the Batcher contract the chunking
-// changes no counters; on cancellation the partial counters accumulated
-// so far are returned along with the context's error.
-func RunWarmCtx(ctx context.Context, a Algorithm, warmup, measured []uint64) (Costs, error) {
-	if err := runPhaseCtx(ctx, a, warmup, cancelChunk, nil, PhaseWarmup, ""); err != nil {
-		return a.Costs(), err
-	}
-	a.ResetCosts()
-	return RunPhaseSampledCtx(ctx, a, measured, 0, nil, PhaseMeasured)
-}
-
-// RunPhaseSampledCtx is RunPhaseSampled with cooperative cancellation:
-// the context is checked before every interval (falling back to
-// cancelChunk-sized intervals when no sampler is attached), and the
-// phase stops at that boundary with the context's error.
-func RunPhaseSampledCtx(ctx context.Context, a Algorithm, requests []uint64, every int, s Sampler, phase string) (Costs, error) {
-	if s == nil || every <= 0 {
-		s, every = nil, cancelChunk
-	}
-	name := ""
-	if s != nil {
-		name = a.Name()
-	}
-	if err := runPhaseCtx(ctx, a, requests, every, s, phase, name); err != nil {
-		return a.Costs(), err
-	}
-	return a.Costs(), nil
-}
-
 // ChunkSeq yields the successive request chunks of one phase: each call
 // returns the next chunk and true, or ok=false once the phase is
-// exhausted. It is the seam between the runners and wherever requests
+// exhausted. It is the seam between the runner and wherever requests
 // come from — a materialized slice (SliceChunks) or a streaming producer
 // such as workload.Ring, whose chunks need not be resident all at once.
 type ChunkSeq func() (chunk []uint64, ok bool)
 
 // SliceChunks adapts a materialized window to a ChunkSeq yielding pieces
-// of at most every requests (the final piece short).
+// of at most every requests (the final piece short); every <= 0 yields
+// the whole window as one piece.
 func SliceChunks(requests []uint64, every int) ChunkSeq {
+	if every <= 0 {
+		every = len(requests)
+	}
 	return func() ([]uint64, bool) {
 		if len(requests) == 0 {
 			return nil, false
@@ -69,12 +35,12 @@ func SliceChunks(requests []uint64, every int) ChunkSeq {
 }
 
 // RunPhaseChunksCtx services one phase from a chunk iterator: each chunk
-// is preceded by a context check and followed by an optional sample, so
-// cancellation and telemetry both land exactly at chunk boundaries. The
-// scratch (may be nil) is threaded to AccessChunk for the staged batch
-// kernels. By the Batcher contract the chunking changes no counters; on
-// cancellation the counters accumulated so far remain on the algorithm
-// and the context's error is returned.
+// is preceded by a context check and followed by an optional sample (s
+// may be nil), so cancellation and telemetry both land exactly at chunk
+// boundaries. name labels the samples and the trace timeline; empty means
+// a.Name(). By the AccessBatch contract the chunking changes no
+// counters; on cancellation the counters accumulated so far remain on the
+// algorithm and the context's error is returned.
 //
 // With an execution tracer installed (xtrace.Install) the phase gets its
 // own worker timeline — a phase span containing one span per chunk — so
@@ -82,14 +48,13 @@ func SliceChunks(requests []uint64, every int) ChunkSeq {
 // in the trace alongside the streaming rows. The timeline carries no row
 // label; the analyzer groups such phases per algorithm. Disabled cost:
 // one atomic load per phase, a nil check per chunk.
-func RunPhaseChunksCtx(ctx context.Context, a Algorithm, next ChunkSeq, sc *Scratch, s Sampler, phase, name string) error {
+func RunPhaseChunksCtx(ctx context.Context, a Algorithm, next ChunkSeq, s Sampler, phase, name string) error {
+	if name == "" {
+		name = a.Name()
+	}
 	var th *xtrace.Thread
 	if tr := xtrace.Active(); tr != nil {
-		tn := name
-		if tn == "" {
-			tn = a.Name()
-		}
-		th = tr.Worker("", tn)
+		th = tr.Worker("", name)
 		phaseStart := th.Now()
 		defer func() { th.Span(phase, xtrace.CatPhase, phaseStart) }()
 	}
@@ -105,7 +70,7 @@ func RunPhaseChunksCtx(ctx context.Context, a Algorithm, next ChunkSeq, sc *Scra
 		if th != nil {
 			chunkStart = th.Now()
 		}
-		AccessChunk(a, chunk, sc)
+		a.AccessBatch(chunk)
 		if s != nil {
 			s.Sample(phase, name, a.Costs())
 		}
@@ -113,10 +78,4 @@ func RunPhaseChunksCtx(ctx context.Context, a Algorithm, next ChunkSeq, sc *Scra
 			th.Span(phase, xtrace.CatChunk, chunkStart, xtrace.ArgInt("n", int64(len(chunk))))
 		}
 	}
-}
-
-// runPhaseCtx is runPhase with a context check before each interval. A
-// nil sampler disables sampling but keeps the chunked cancellation.
-func runPhaseCtx(ctx context.Context, a Algorithm, requests []uint64, every int, s Sampler, phase, name string) error {
-	return RunPhaseChunksCtx(ctx, a, SliceChunks(requests, every), nil, s, phase, name)
 }

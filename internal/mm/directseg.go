@@ -58,7 +58,6 @@ type DirectSegment struct {
 }
 
 var _ Algorithm = (*DirectSegment)(nil)
-var _ Batcher = (*DirectSegment)(nil)
 
 // NewDirectSegment builds the baseline.
 func NewDirectSegment(cfg DirectSegmentConfig) (*DirectSegment, error) {
@@ -114,7 +113,7 @@ func (d *DirectSegment) Access(v uint64) {
 	}
 }
 
-// AccessBatch implements Batcher.
+// AccessBatch implements Algorithm.
 func (d *DirectSegment) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		d.Access(v)

@@ -84,7 +84,6 @@ type Geometry struct {
 }
 
 var _ Algorithm = (*Geometry)(nil)
-var _ Batcher = (*Geometry)(nil)
 
 // NewGeometry builds the algorithm.
 func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
@@ -144,7 +143,7 @@ func (g *Geometry) Access(v uint64) {
 	}
 }
 
-// AccessBatch implements Batcher.
+// AccessBatch implements Algorithm.
 func (g *Geometry) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		g.Access(v)

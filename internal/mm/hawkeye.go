@@ -90,7 +90,6 @@ type HawkEye struct {
 }
 
 var _ Algorithm = (*HawkEye)(nil)
-var _ Batcher = (*HawkEye)(nil)
 
 // NewHawkEye builds the baseline.
 func NewHawkEye(cfg HawkEyeConfig) (*HawkEye, error) {
@@ -256,7 +255,7 @@ func (m *HawkEye) promote(r uint64) {
 	m.ex.Promote()
 }
 
-// AccessBatch implements Batcher.
+// AccessBatch implements Algorithm.
 func (m *HawkEye) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		m.Access(v)

@@ -80,7 +80,6 @@ type HugePage struct {
 }
 
 var _ Algorithm = (*HugePage)(nil)
-var _ StagedBatcher = (*HugePage)(nil)
 
 // NewHugePage builds the baseline simulator.
 func NewHugePage(cfg HugePageConfig) (*HugePage, error) {
@@ -152,7 +151,7 @@ func (m *HugePage) Access(v uint64) {
 	}
 }
 
-// AccessBatch implements Batcher. On the merged-LRU path the whole chunk
+// AccessBatch implements Algorithm. On the merged-LRU path the whole chunk
 // is handed to the recency stack's columnar kernel: huge-page derivation,
 // run-length collapse of consecutive same-page requests, and the two-zone
 // LRU transitions all happen in one fused pass, and only the column's
@@ -171,13 +170,6 @@ func (m *HugePage) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		m.Access(v)
 	}
-}
-
-// AccessBatchScratch implements StagedBatcher. The merged-LRU kernel is
-// fully fused — it materializes no intermediate columns — so the scratch
-// is unused.
-func (m *HugePage) AccessBatchScratch(vs []uint64, _ *Scratch) {
-	m.AccessBatch(vs)
 }
 
 // Costs implements Algorithm.

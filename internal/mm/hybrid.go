@@ -35,7 +35,6 @@ type Hybrid struct {
 }
 
 var _ Algorithm = (*Hybrid)(nil)
-var _ Batcher = (*Hybrid)(nil)
 
 // NewHybrid builds the hybrid algorithm.
 func NewHybrid(cfg HybridConfig) (*Hybrid, error) {
@@ -88,9 +87,9 @@ func (h *Hybrid) Access(v uint64) {
 // per-pass buffer.
 const hybridBlock = 1024
 
-// AccessBatch implements Batcher: each block of requests is mapped to its
+// AccessBatch implements Algorithm: each block of requests is mapped to its
 // group-key column (v >> log₂ g) and run through the inner Decoupled's
-// staged kernel, and the block's IO delta is scaled by g. Every Costs
+// column kernel, and the block's IO delta is scaled by g. Every Costs
 // field is a sum over accesses, so one delta per block equals the sum of
 // the per-access deltas Access takes. With attribution armed the explain
 // delta is one snapshot diff per block, exact for the same reason: the
@@ -110,7 +109,7 @@ func (h *Hybrid) AccessBatch(vs []uint64) {
 			exBefore = z.ex.Snapshot()
 		}
 		ios, tlbMisses, decodes := z.costs.IOs, z.costs.TLBMisses, z.costs.DecodingMisses
-		z.AccessBatchScratch(keys[:n], &z.sc)
+		z.AccessBatch(keys[:n])
 
 		h.costs.Accesses += uint64(n)
 		h.costs.IOs += (z.costs.IOs - ios) * h.g

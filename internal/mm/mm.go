@@ -52,12 +52,18 @@ func (c Costs) String() string {
 		c.IOs, c.TLBMisses, c.DecodingMisses, c.Accesses)
 }
 
-// Algorithm is a memory-management algorithm servicing one request at a
-// time (online).
+// Algorithm is a memory-management algorithm servicing requests online,
+// one at a time or a whole slice per call.
 type Algorithm interface {
 	// Access services a request for virtual page v, updating cost
 	// counters.
 	Access(v uint64)
+
+	// AccessBatch services the requests in order, exactly as repeated
+	// Access calls would. The loop runs over the concrete receiver, so the
+	// per-request interface dispatch disappears and the access path
+	// inlines; the runners and every harness call it once per chunk.
+	AccessBatch(vs []uint64)
 
 	// Costs returns the accumulated counters.
 	Costs() Costs
@@ -70,26 +76,16 @@ type Algorithm interface {
 	Name() string
 }
 
-// Batcher is implemented by algorithms that can service a whole request
-// slice per call. The batch loop runs over the concrete receiver, so the
-// per-request interface dispatch of Run's generic loop disappears and the
-// access path inlines; every algorithm in this package implements it.
-type Batcher interface {
-	// AccessBatch services the requests in order, exactly as repeated
-	// Access calls would.
-	AccessBatch(vs []uint64)
-}
-
 // Run services every request in order and returns the final counters.
 func Run(a Algorithm, requests []uint64) Costs {
-	AccessChunk(a, requests, nil)
+	a.AccessBatch(requests)
 	return a.Costs()
 }
 
 // RunWarm services warmup requests, resets counters, then services the
 // measured requests — the paper's two-phase methodology.
 func RunWarm(a Algorithm, warmup, measured []uint64) Costs {
-	AccessChunk(a, warmup, nil)
+	a.AccessBatch(warmup)
 	a.ResetCosts()
 	return Run(a, measured)
 }

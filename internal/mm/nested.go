@@ -71,7 +71,6 @@ func nestedGuestKey(gu uint64) uint64 { return gu << 1 }
 func nestedHostKey(hu uint64) uint64  { return hu<<1 | 1 }
 
 var _ Algorithm = (*Nested)(nil)
-var _ Batcher = (*Nested)(nil)
 
 // NewNested builds the two-level baseline.
 func NewNested(cfg NestedConfig) (*Nested, error) {
@@ -133,7 +132,7 @@ func (n *Nested) Access(v uint64) {
 	n.hostReference(v)
 }
 
-// AccessBatch implements Batcher.
+// AccessBatch implements Algorithm.
 func (n *Nested) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		n.Access(v)

@@ -1,8 +1,6 @@
 package mm
 
-import "context"
-
-// Phase labels used by the sampled runners and the telemetry layer: the
+// Phase labels used by the phase runner and the telemetry layer: the
 // warmup phase covers the accesses before the counter reset, the measured
 // phase the accesses after it.
 const (
@@ -10,61 +8,13 @@ const (
 	PhaseMeasured = "measured"
 )
 
-// Sampler receives cumulative cost snapshots from the sampled runners.
+// Sampler receives cumulative cost snapshots from RunPhaseChunksCtx.
 // Samples for one algorithm arrive in access order; implementations must
 // be safe for concurrent use, since harnesses run algorithms in parallel.
 // internal/obs.Recorder is the standard implementation.
 type Sampler interface {
-	// Sample reports alg's cumulative counters after one interval of the
+	// Sample reports alg's cumulative counters after one chunk of the
 	// given phase. Costs.Accesses is the x-axis: accesses serviced since
 	// the phase began (the counter reset, for the measured phase).
 	Sample(phase, alg string, c Costs)
-}
-
-// RunSampled is Run with telemetry: requests are serviced in intervals of
-// at most every accesses, with s.Sample called after each interval. Only
-// the slice is fed in pieces — the AccessBatch hot path is untouched, and
-// by the Batcher contract the final counters are identical to Run's. With
-// a nil sampler or every <= 0 it is exactly Run.
-func RunSampled(a Algorithm, requests []uint64, every int, s Sampler) Costs {
-	if s == nil || every <= 0 {
-		return Run(a, requests)
-	}
-	runPhase(a, requests, every, s, PhaseMeasured, a.Name())
-	return a.Costs()
-}
-
-// RunWarmSampled is RunWarm with telemetry: both windows are sampled every
-// `every` accesses — the warmup samples expose convergence, the measured
-// samples form the cost-over-time curve. With a nil sampler or every <= 0
-// it is exactly RunWarm.
-func RunWarmSampled(a Algorithm, warmup, measured []uint64, every int, s Sampler) Costs {
-	if s == nil || every <= 0 {
-		return RunWarm(a, warmup, measured)
-	}
-	name := a.Name()
-	runPhase(a, warmup, every, s, PhaseWarmup, name)
-	a.ResetCosts()
-	runPhase(a, measured, every, s, PhaseMeasured, name)
-	return a.Costs()
-}
-
-// RunPhaseSampled services one window of requests in intervals of at most
-// every accesses under the given phase label, sampling after each
-// interval. It is the building block of RunSampled/RunWarmSampled for
-// harnesses that manage the counter reset (and per-phase timing)
-// themselves. With a nil sampler or every <= 0 the window runs in one
-// batch, unsampled.
-func RunPhaseSampled(a Algorithm, requests []uint64, every int, s Sampler, phase string) Costs {
-	if s == nil || every <= 0 {
-		return Run(a, requests)
-	}
-	runPhase(a, requests, every, s, phase, a.Name())
-	return a.Costs()
-}
-
-// runPhase feeds requests to a in interval-sized pieces, sampling after
-// each piece.
-func runPhase(a Algorithm, requests []uint64, every int, s Sampler, phase, name string) {
-	_ = RunPhaseChunksCtx(context.Background(), a, SliceChunks(requests, every), nil, s, phase, name)
 }

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"context"
 	"testing"
 
 	"addrxlat/internal/hashutil"
@@ -35,10 +36,22 @@ func sampleReqs(n int) []uint64 {
 	return reqs
 }
 
-// TestRunSampledMatchesRun pins the telemetry guarantee at the mm layer:
-// feeding the request slice in sampling intervals leaves every
+// runWarmChunks is the two-phase methodology on the chunked runner:
+// warmup in every-sized chunks, counter reset, measured in every-sized
+// chunks — how the experiment harness and atsim drive RunPhaseChunksCtx.
+func runWarmChunks(ctx context.Context, a Algorithm, warm, meas []uint64, every int, s Sampler) (Costs, error) {
+	if err := RunPhaseChunksCtx(ctx, a, SliceChunks(warm, every), s, PhaseWarmup, ""); err != nil {
+		return a.Costs(), err
+	}
+	a.ResetCosts()
+	err := RunPhaseChunksCtx(ctx, a, SliceChunks(meas, every), s, PhaseMeasured, "")
+	return a.Costs(), err
+}
+
+// TestRunSampledMatchesRun pins the telemetry guarantee at the mm
+// layer: feeding the request slice in sampled chunks leaves every
 // algorithm's final counters identical to a single-batch Run, for every
-// Algorithm implementation.
+// Algorithm implementation, with one sample per chunk.
 func TestRunSampledMatchesRun(t *testing.T) {
 	reqs := sampleReqs(30000)
 	plain := allAlgorithms(t, 7)
@@ -46,8 +59,10 @@ func TestRunSampledMatchesRun(t *testing.T) {
 	for i := range plain {
 		want := Run(plain[i], reqs)
 		s := &collectSampler{}
-		got := RunSampled(sampled[i], reqs, 777, s)
-		if got != want {
+		if err := RunPhaseChunksCtx(context.Background(), sampled[i], SliceChunks(reqs, 777), s, PhaseMeasured, ""); err != nil {
+			t.Fatal(err)
+		}
+		if got := sampled[i].Costs(); got != want {
 			t.Errorf("%s: sampled run differs: got %v want %v", plain[i].Name(), got, want)
 		}
 		wantSamples := (len(reqs) + 776) / 777
@@ -67,7 +82,7 @@ func TestRunSampledMatchesRun(t *testing.T) {
 }
 
 // TestRunWarmSampledMatchesRunWarm is the two-phase variant: identical
-// counters, and samples labeled with both phases in order.
+// counters to RunWarm, and samples labeled with both phases in order.
 func TestRunWarmSampledMatchesRunWarm(t *testing.T) {
 	reqs := sampleReqs(40000)
 	warm, meas := reqs[:20000], reqs[20000:]
@@ -76,7 +91,10 @@ func TestRunWarmSampledMatchesRunWarm(t *testing.T) {
 	for i := range plain {
 		want := RunWarm(plain[i], warm, meas)
 		s := &collectSampler{}
-		got := RunWarmSampled(sampled[i], warm, meas, 4096, s)
+		got, err := runWarmChunks(context.Background(), sampled[i], warm, meas, 4096, s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got != want {
 			t.Errorf("%s: sampled warm run differs: got %v want %v", plain[i].Name(), got, want)
 		}
@@ -103,21 +121,28 @@ func TestRunWarmSampledMatchesRunWarm(t *testing.T) {
 	}
 }
 
-// TestRunSampledNilSamplerIsRun checks the disabled paths degrade to the
-// plain runners.
+// TestRunSampledNilSamplerIsRun checks the degenerate settings: a nil
+// sampler still services every chunk, and every <= 0 runs the window as
+// one chunk with exactly one sample.
 func TestRunSampledNilSamplerIsRun(t *testing.T) {
 	reqs := sampleReqs(10000)
+	want := Run(allAlgorithms(t, 1)[0], reqs)
 	a := allAlgorithms(t, 1)[0]
-	b := allAlgorithms(t, 1)[0]
-	if got, want := RunSampled(a, reqs, 100, nil), Run(b, reqs); got != want {
+	if err := RunPhaseChunksCtx(context.Background(), a, SliceChunks(reqs, 100), nil, PhaseMeasured, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Costs(); got != want {
 		t.Errorf("nil sampler: got %v want %v", got, want)
 	}
 	c := allAlgorithms(t, 1)[0]
 	s := &collectSampler{}
-	if got, want := RunSampled(c, reqs, 0, s), Run(allAlgorithms(t, 1)[0], reqs); got != want {
+	if err := RunPhaseChunksCtx(context.Background(), c, SliceChunks(reqs, 0), s, PhaseMeasured, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Costs(); got != want {
 		t.Errorf("every=0: got %v want %v", got, want)
 	}
-	if len(s.costs) != 0 {
-		t.Errorf("every=0 produced %d samples", len(s.costs))
+	if len(s.costs) != 1 {
+		t.Errorf("every=0 produced %d samples, want 1", len(s.costs))
 	}
 }

@@ -23,7 +23,6 @@ type TLBOnly struct {
 }
 
 var _ Algorithm = (*TLBOnly)(nil)
-var _ Batcher = (*TLBOnly)(nil)
 
 // NewTLBOnly builds X with the given huge-page size, TLB entry count and
 // replacement policy.
@@ -47,7 +46,7 @@ func (x *TLBOnly) Access(v uint64) {
 	}
 }
 
-// AccessBatch implements Batcher.
+// AccessBatch implements Algorithm.
 func (x *TLBOnly) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		x.Access(v)
@@ -87,7 +86,6 @@ type RAMOnly struct {
 }
 
 var _ Algorithm = (*RAMOnly)(nil)
-var _ Batcher = (*RAMOnly)(nil)
 
 // NewRAMOnly builds Y with the given page capacity and policy.
 func NewRAMOnly(capacity uint64, kind policy.Kind, seed uint64) (*RAMOnly, error) {
@@ -113,7 +111,7 @@ func (y *RAMOnly) Access(v uint64) {
 	}
 }
 
-// AccessBatch implements Batcher.
+// AccessBatch implements Algorithm.
 func (y *RAMOnly) AccessBatch(vs []uint64) {
 	for _, v := range vs {
 		y.Access(v)

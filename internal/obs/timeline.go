@@ -24,6 +24,7 @@ func (r *Recorder) RowTimeline(rep xtrace.RowReport) {
 		expInt("xtrace_busy_ms").Add(int64(w.BusySeconds * 1e3))
 		expInt("xtrace_blocked_generation_ms").Add(int64(w.BlockedGenerationSeconds * 1e3))
 		expInt("xtrace_blocked_admission_ms").Add(int64(w.BlockedAdmissionSeconds * 1e3))
+		expInt("xtrace_blocked_drain_ms").Add(int64(w.BlockedDrainSeconds * 1e3))
 	}
 	if r == nil {
 		return

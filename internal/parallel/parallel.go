@@ -85,38 +85,6 @@ dispatch:
 	return errors.Join(append([]error{ctx.Err()}, errs...)...)
 }
 
-// Group runs a fixed set of long-lived workers — one goroutine per slot,
-// unlike ForEach's task pool — and aggregates their failures. The
-// pipelined row executor uses it for per-simulator workers: each worker
-// owns slot i for the whole row, panics are converted to errors in slot
-// order, and Wait joins them (errors.Join) so no failure shadows another.
-type Group struct {
-	wg   sync.WaitGroup
-	errs []error
-}
-
-// NewGroup returns a Group with n error slots.
-func NewGroup(n int) *Group {
-	return &Group{errs: make([]error, n)}
-}
-
-// Go starts fn on its own goroutine, recording its error (or recovered
-// panic) in slot i. Each slot must be started at most once.
-func (g *Group) Go(i int, fn func() error) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		g.errs[i] = safeCall(func(int) error { return fn() }, i)
-	}()
-}
-
-// Wait blocks until every started worker returns, then joins their
-// errors in slot order (nil when all succeeded).
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	return errors.Join(g.errs...)
-}
-
 // Gate is a counting semaphore bounding how many goroutines run a hot
 // section at once. The pipelined row executor holds one slot per chunk
 // served, so a row with more simulators than Scale.Workers still runs at

@@ -48,7 +48,7 @@ func TestFillDispatch(t *testing.T) {
 			return g
 		}
 		ref, gen := mk(), mk()
-		if _, ok := any(gen).(Batcher); !ok {
+		if _, ok := any(gen).(BatchGenerator); !ok {
 			t.Fatal("Bimodal expected to batch")
 		}
 		dst := make([]uint64, 333)
@@ -63,7 +63,7 @@ func TestFillDispatch(t *testing.T) {
 	})
 	t.Run("scalar-only", func(t *testing.T) {
 		gen := &countingGen{}
-		if _, ok := any(gen).(Batcher); ok {
+		if _, ok := any(gen).(BatchGenerator); ok {
 			t.Fatal("countingGen must stay scalar-only for this test")
 		}
 		ref := &countingGen{}

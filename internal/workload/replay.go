@@ -46,7 +46,7 @@ func (rp *Replay) Next() uint64 {
 	return v
 }
 
-// NextBatch implements Batcher: whole stretches of the recording are
+// NextBatch implements BatchGenerator: whole stretches of the recording are
 // copied out per call (with wraparound), instead of one virtual Next call
 // per request.
 func (rp *Replay) NextBatch(dst []uint64) {
@@ -81,7 +81,7 @@ type StreamReplay struct {
 }
 
 var _ Generator = (*StreamReplay)(nil)
-var _ Batcher = (*StreamReplay)(nil)
+var _ BatchGenerator = (*StreamReplay)(nil)
 
 // NewStreamReplay opens a streaming replay over src with the given decode
 // chunk size in pages (0 means workload.DefaultChunk). Empty traces are
@@ -142,7 +142,7 @@ func (sr *StreamReplay) Next() uint64 {
 	return v
 }
 
-// NextBatch implements Batcher.
+// NextBatch implements BatchGenerator.
 func (sr *StreamReplay) NextBatch(dst []uint64) {
 	for len(dst) > 0 {
 		if sr.pos == sr.fill {

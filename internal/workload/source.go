@@ -9,8 +9,8 @@ package workload
 //
 // Source is the single-consumer, single-segment view of Ring — the
 // depth-2 special case kept for linear consumers (trace generation,
-// replay pre-passes, the sequential row executor). The multi-consumer
-// pipelined row executor uses Ring directly.
+// replay pre-passes). The multi-consumer row executor uses Ring
+// directly.
 //
 // The chunk sequence concatenates to exactly the same requests repeated
 // Generator.Next calls would yield; chunking is invisible to simulators.

@@ -22,10 +22,10 @@ type Generator interface {
 	Name() string
 }
 
-// Batcher is implemented by generators that can fill a whole slice per
-// call (e.g. Replay, which copies straight out of its recording instead of
-// paying a virtual call per request).
-type Batcher interface {
+// BatchGenerator is implemented by generators that can fill a whole slice
+// per call (e.g. Replay, which copies straight out of its recording
+// instead of paying a virtual call per request).
+type BatchGenerator interface {
 	// NextBatch fills dst with the next len(dst) requests, exactly as
 	// repeated Next calls would.
 	NextBatch(dst []uint64)
@@ -36,7 +36,7 @@ type Batcher interface {
 // point shared by the streaming producer (Source) and the materializing
 // harnesses (Take).
 func Fill(g Generator, dst []uint64) {
-	if b, ok := g.(Batcher); ok {
+	if b, ok := g.(BatchGenerator); ok {
 		b.NextBatch(dst)
 		return
 	}
@@ -101,7 +101,7 @@ func (b *Bimodal) Next() uint64 {
 	return b.rng.Uint64n(b.totalPages)
 }
 
-// NextBatch implements Batcher: the same draws as repeated Next calls —
+// NextBatch implements BatchGenerator: the same draws as repeated Next calls —
 // identical RNG sequence, so the stream is byte-identical — but looped
 // over the concrete receiver, so chunked fills (workload.Fill, Source)
 // pay one interface call per chunk instead of one per request.

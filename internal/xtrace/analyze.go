@@ -11,8 +11,10 @@ import (
 // WorkerReport attributes one (row, simulator) worker's wall time: Busy
 // is time inside chunk service spans, BlockedGeneration time waiting on
 // an unpublished chunk (the generator is the bottleneck),
-// BlockedAdmission time waiting on the Workers gate, Wall the worker's
-// whole lifetime. The chunk-latency percentiles come from a log-bucketed
+// BlockedAdmission time waiting on the Workers gate, BlockedDrain the
+// row's tail after this worker read end-of-stream — the other workers
+// finishing their last chunks and the join — and Wall the worker's whole
+// lifetime. The chunk-latency percentiles come from a log-bucketed
 // histogram of the worker's chunk service spans (internal/hist, ≤6.25%
 // relative error).
 type WorkerReport struct {
@@ -25,12 +27,13 @@ type WorkerReport struct {
 	BusySeconds              float64 `json:"busy_seconds"`
 	BlockedGenerationSeconds float64 `json:"blocked_generation_seconds"`
 	BlockedAdmissionSeconds  float64 `json:"blocked_admission_seconds"`
+	BlockedDrainSeconds      float64 `json:"blocked_drain_seconds"`
 	WallSeconds              float64 `json:"wall_seconds"`
 }
 
 // Blocked is the worker's total non-busy attributed time.
 func (w WorkerReport) Blocked() float64 {
-	return w.BlockedGenerationSeconds + w.BlockedAdmissionSeconds
+	return w.BlockedGenerationSeconds + w.BlockedAdmissionSeconds + w.BlockedDrainSeconds
 }
 
 // RowReport is the per-row straggler / critical-path report derived from
@@ -57,14 +60,15 @@ type RowReport struct {
 	Workers                []WorkerReport `json:"workers"`
 }
 
-// workerAgg accumulates one (row, alg) group across threads (a sequential
-// row creates one thread per phase pair; materialized runners one per
-// window).
+// workerAgg accumulates one (row, alg) group across threads (materialized
+// runners create one per window). lives holds the [start, end) stamps of
+// the group's worker spans, matched against the row spans for the drain.
 type workerAgg struct {
 	alg                          string
 	chunks                       int
 	busy, blockedGen, blockedAdm int64
 	wall                         int64
+	lives                        [][2]int64
 	h                            hist.H
 }
 
@@ -86,6 +90,7 @@ func (t *Tracer) Analyze() []RowReport {
 		report  RowReport
 		workers map[string]*workerAgg
 		order   []string
+		spans   [][2]int64 // [start, end) of each row span
 	}
 	rows := map[string]*rowAgg{}
 	var rowOrder []string
@@ -131,6 +136,7 @@ func (t *Tracer) Analyze() []RowReport {
 					}
 				case CatWorker:
 					wa.wall += e.Dur
+					wa.lives = append(wa.lives, [2]int64{e.TS, e.TS + e.Dur})
 				}
 			}
 		case th.row != "": // row or ring thread
@@ -142,6 +148,7 @@ func (t *Tracer) Analyze() []RowReport {
 				switch e.Cat {
 				case CatRow:
 					ra.report.WallSeconds += seconds(e.Dur)
+					ra.spans = append(ra.spans, [2]int64{e.TS, e.TS + e.Dur})
 				case CatWait:
 					if e.Name == WaitConsumers {
 						ra.report.ProducerBlockedSeconds += seconds(e.Dur)
@@ -169,6 +176,7 @@ func (t *Tracer) Analyze() []RowReport {
 				BusySeconds:              seconds(wa.busy),
 				BlockedGenerationSeconds: seconds(wa.blockedGen),
 				BlockedAdmissionSeconds:  seconds(wa.blockedAdm),
+				BlockedDrainSeconds:      seconds(drain(wa.lives, ra.spans)),
 				WallSeconds:              seconds(wa.wall),
 			}
 			rep.Workers = append(rep.Workers, wr)
@@ -201,8 +209,27 @@ func (t *Tracer) Analyze() []RowReport {
 	return out
 }
 
+// drain sums, over a worker's lifetimes, the time from each lifetime's
+// end to the end of the row span enclosing it: the tail of the row that
+// no span of this worker covers, since the row cannot end before its last
+// worker does. Lifetimes outside every row span (materialized runners)
+// contribute nothing.
+func drain(lives, rows [][2]int64) int64 {
+	var d int64
+	for _, l := range lives {
+		for _, r := range rows {
+			if r[0] <= l[0] && l[1] <= r[1] {
+				d += r[1] - l[1]
+				break
+			}
+		}
+	}
+	return d
+}
+
 // bottleneckOf classifies where the straggler's time went: the largest of
-// its three attributed components.
+// its busy, generation and admission components. The drain is left out:
+// it is other workers' tail, not something the straggler waits on.
 func bottleneckOf(w *workerAgg) string {
 	switch {
 	case w.busy >= w.blockedGen && w.busy >= w.blockedAdm:
@@ -225,7 +252,7 @@ func WriteTimelineTSV(w io.Writer, reports []RowReport) error {
 	cols := []string{
 		"experiment", "row", "alg", "chunks",
 		"p50_us", "p99_us", "p999_us", "max_us",
-		"busy_s", "blocked_generation_s", "blocked_admission_s",
+		"busy_s", "blocked_generation_s", "blocked_admission_s", "blocked_drain_s",
 		"wall_s", "row_wall_s", "share_of_row", "straggler", "bottleneck",
 	}
 	if _, err := fmt.Fprintln(w, strings.Join(cols, "\t")); err != nil {
@@ -241,10 +268,10 @@ func WriteTimelineTSV(w io.Writer, reports []RowReport) error {
 			if wr.Alg == rep.Straggler {
 				straggler, bottleneck = "*", rep.Bottleneck
 			}
-			_, err := fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.3f\t%s\t%s\n",
+			_, err := fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.3f\t%s\t%s\n",
 				rep.Experiment, rep.Row, wr.Alg, wr.Chunks,
 				wr.P50Micros, wr.P99Micros, wr.P999Micros, wr.MaxMicros,
-				wr.BusySeconds, wr.BlockedGenerationSeconds, wr.BlockedAdmissionSeconds,
+				wr.BusySeconds, wr.BlockedGenerationSeconds, wr.BlockedAdmissionSeconds, wr.BlockedDrainSeconds,
 				wr.WallSeconds, rep.WallSeconds, share, straggler, bottleneck)
 			if err != nil {
 				return err
@@ -257,9 +284,10 @@ func WriteTimelineTSV(w io.Writer, reports []RowReport) error {
 // Summary formats one row report as the single-line straggler digest the
 // progress stream prints.
 func (r RowReport) Summary() string {
-	return fmt.Sprintf("%s: straggler %s busy %.3fs blocked(gen %.3fs, admit %.3fs) of %.3fs wall [%s-bound]",
-		r.Row, r.Straggler, stragglerOf(r).BusySeconds,
-		stragglerOf(r).BlockedGenerationSeconds, stragglerOf(r).BlockedAdmissionSeconds,
+	w := stragglerOf(r)
+	return fmt.Sprintf("%s: straggler %s busy %.3fs blocked(gen %.3fs, admit %.3fs, drain %.3fs) of %.3fs wall [%s-bound]",
+		r.Row, r.Straggler, w.BusySeconds,
+		w.BlockedGenerationSeconds, w.BlockedAdmissionSeconds, w.BlockedDrainSeconds,
 		r.WallSeconds, r.Bottleneck)
 }
 

@@ -129,8 +129,9 @@ func TestValidateRejects(t *testing.T) {
 }
 
 // TestAnalyze: the straggler report aggregates chunk/wait/worker spans by
-// (row, alg), picks the busiest worker as the straggler, and carries the
-// ring producer's blocked time.
+// (row, alg), picks the busiest worker as the straggler, charges each
+// worker the row's tail after its lifetime as drain, and carries the ring
+// producer's blocked time.
 func TestAnalyze(t *testing.T) {
 	tr := New()
 	tr.SetScope("x")
@@ -181,11 +182,19 @@ func TestAnalyze(t *testing.T) {
 	if w := byAlg["slow"]; w.Chunks != 2 || w.BusySeconds < 0.0089 || w.BlockedAdmissionSeconds < 0.00049 {
 		t.Fatalf("slow worker attribution off: %+v", w)
 	}
-	// busy+blocked accounts for each worker's wall within 1%.
+	// Each worker ends 10ms after it starts, 0.5ms (less its start
+	// offset from the row) before the row span does: that tail is drain.
+	for _, w := range r.Workers {
+		if w.BlockedDrainSeconds < 0.0004 || w.BlockedDrainSeconds > 0.0005 {
+			t.Errorf("worker %s: drain %.6f, want ≈0.0005", w.Alg, w.BlockedDrainSeconds)
+		}
+	}
+	// busy+blocked accounts for each worker's wall plus its drain within 1%.
 	for _, w := range r.Workers {
 		acc := w.BusySeconds + w.Blocked()
-		if diff := w.WallSeconds - acc; diff < 0 || diff > 0.01*w.WallSeconds+0.0011 {
-			t.Errorf("worker %s: busy+blocked %.6f vs wall %.6f", w.Alg, acc, w.WallSeconds)
+		want := w.WallSeconds + w.BlockedDrainSeconds
+		if diff := want - acc; diff < 0 || diff > 0.01*want+0.0011 {
+			t.Errorf("worker %s: busy+blocked %.6f vs wall+drain %.6f", w.Alg, acc, want)
 		}
 	}
 
@@ -197,7 +206,8 @@ func TestAnalyze(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("timeline TSV has %d lines, want header + 2 workers:\n%s", len(lines), tsv.String())
 	}
-	if !strings.Contains(lines[0], "p999_us") || !strings.Contains(tsv.String(), "simulation") {
+	if !strings.Contains(lines[0], "p999_us") || !strings.Contains(lines[0], "blocked_drain_s") ||
+		!strings.Contains(tsv.String(), "simulation") {
 		t.Fatalf("timeline TSV missing columns:\n%s", tsv.String())
 	}
 	if !strings.Contains(r.Summary(), "straggler slow") {
