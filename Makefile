@@ -27,10 +27,12 @@ race:
 	$(GO) test -race ./internal/parallel/ ./internal/experiments/ ./internal/resultcache/ ./internal/journal/ ./internal/faultinject/ \
 		./internal/workload/ ./internal/serve/ ./internal/obs/ ./internal/xtrace/
 
-# fuzz-smoke runs a short fuzzing pass over the trace codec (seeded from
-# testdata/fuzz), catching decoder regressions without a dedicated fuzz farm.
+# fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
+# testdata/fuzz) and the explain TLB-miss classifier (checked against a
+# map-backed oracle), catching regressions without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzClassifier -fuzztime=20s ./internal/explain/
 
 # bench runs the hot-path benchmarks with allocation reporting, teeing the
 # output into a timestamped file under results/ so runs can be compared

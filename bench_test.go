@@ -544,7 +544,7 @@ func benchServeSim(b *testing.B, seed uint64, armed bool) *serve.Sim {
 		MaxAttempts: 3,
 		RetryBaseNs: 1000,
 		Governor:    serve.GovernorConfig{WindowNs: 1, QueueHigh: 96, MissNum: 1, MissDen: 5, RecoverDepth: 24, DegradedDiv: 4},
-	}, alg, gen, nil)
+	}, alg, gen)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -157,6 +157,11 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		// Retries trigger on the cost delta's decoding misses, so serve
+		// mode runs bare; -explain arms attribution only to time its cost.
+		if *explainF {
+			mm.EnableExplain(alg)
+		}
 		rr, err := runServeMode(alg, gen, serveModeConfig{
 			workload: *wl, seed: *seed,
 			load: *serveLoad, requests: *serveReq, warmup: *serveWarm,
@@ -693,9 +698,6 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig)
 	if cfg.load <= 0 {
 		return obs.RunRecord{}, fmt.Errorf("-serve-load must be positive, got %g", cfg.load)
 	}
-	// Explain stays on in serve mode: the retry machinery triggers on the
-	// explain taxonomy's failure-IO counter.
-	ec := mm.EnableExplain(alg)
 	sim, err := serve.New(serve.Config{
 		Seed:        cfg.seed,
 		Requests:    cfg.requests,
@@ -710,7 +712,7 @@ func runServeMode(alg mm.Algorithm, gen workload.Generator, cfg serveModeConfig)
 			RecoverDepth: cfg.queueCap / 5,
 			DegradedDiv:  4,
 		},
-	}, alg, gen, ec)
+	}, alg, gen)
 	if err != nil {
 		return obs.RunRecord{}, err
 	}

@@ -203,10 +203,8 @@ func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
 	if err != nil {
 		return serve.Point{}, fmt.Errorf("experiments: serve cell %s: %w", a.name, err)
 	}
-	// Explain is always on for serve cells: the retry trigger is the
-	// explain taxonomy's failure-IO counter. Attribution never mutates
-	// algorithm state, so it cannot perturb service times.
-	ec := mm.EnableExplain(alg)
+	// The simulator runs bare: serve reads failure IOs off the Costs
+	// delta, so arming attribution would only cost time.
 	gen, err := workload.NewBimodal(sp.hotPages, sp.virtualPages, 0.9, hashutil.Mix64(base+1))
 	if err != nil {
 		return serve.Point{}, err
@@ -226,7 +224,7 @@ func (sp *serveSpec) runCell(s Scale, ai, li int) (pt serve.Point, err error) {
 			DegradedDiv:  serveDegradedDiv,
 		},
 		FaultKey: fmt.Sprintf("%s|%s|load=%g", sp.table, a.name, load),
-	}, alg, gen, ec)
+	}, alg, gen)
 	if err != nil {
 		return serve.Point{}, err
 	}

@@ -4,9 +4,11 @@
 // mechanisms that caused them, plus structural gauges sampled at chunk
 // boundaries.
 //
-// The package is a leaf: the mm algorithms increment Counters directly on
-// their hot paths, and internal/obs re-exports the types (obs.Counters is
-// an alias), so the taxonomy is shared without an mm → obs import cycle.
+// The package sits just above the leaf internal/dense (the TLB-miss
+// classifier is a flat per-key table): the mm algorithms increment
+// Counters directly on their hot paths, and internal/obs re-exports the
+// types (obs.Counters is an alias), so the taxonomy is shared without an
+// mm → obs import cycle.
 //
 // The nil contract mirrors the rest of the telemetry stack: every method
 // is a no-op on a nil *Counters, so algorithms hold a nil pointer until
@@ -16,11 +18,14 @@
 // enabled or disabled.
 package explain
 
+import "addrxlat/internal/dense"
+
 // TLB-miss classes. A miss is compulsory when the key was never TLB-
 // resident before, coverage-loss when the key's entry was explicitly
 // invalidated (huge-page demotion, preemption, eviction shootdown) since
 // it was last resident, and capacity otherwise (pushed out by replacement
-// pressure).
+// pressure). A key's state is 0 (absent: never seen), tlbSeen, or
+// tlbSeen|tlbInvalidated.
 const (
 	tlbSeen        = 1 // key has been TLB-resident at some point
 	tlbInvalidated = 2 // key's entry was invalidated since it was resident
@@ -62,10 +67,13 @@ type Counters struct {
 	SingleFills      uint64 `json:"single_fills,omitempty"`
 
 	// tlbState is the miss classifier: per key, whether it has ever been
-	// TLB-resident and whether it was invalidated since. Allocated lazily
-	// on the first classified miss; kept across Reset (it is cache-like
-	// history, analogous to the TLB contents surviving ResetCosts).
-	tlbState map[uint64]uint8
+	// TLB-resident and whether it was invalidated since. TLB keys are
+	// dense page or region numbers (tagged keys at or above
+	// dense.SparseBound fall back to the table's map), so a flat table
+	// replaces a hash lookup per miss. Allocated lazily on the first
+	// classified miss; kept across Reset (it is cache-like history,
+	// analogous to the TLB contents surviving ResetCosts).
+	tlbState *dense.Table[uint8]
 }
 
 // DemandIO counts one demand fault-in.
@@ -161,9 +169,9 @@ func (c *Counters) TLBMiss(key uint64) {
 		return
 	}
 	if c.tlbState == nil {
-		c.tlbState = make(map[uint64]uint8)
+		c.tlbState = dense.NewTable[uint8](0, 0)
 	}
-	switch st := c.tlbState[key]; {
+	switch st := c.tlbState.At(key); {
 	case st == 0:
 		c.TLBCompulsory++
 	case st&tlbInvalidated != 0:
@@ -171,7 +179,7 @@ func (c *Counters) TLBMiss(key uint64) {
 	default:
 		c.TLBCapacity++
 	}
-	c.tlbState[key] = tlbSeen
+	c.tlbState.Set(key, tlbSeen)
 }
 
 // TLBInvalidated records that key's entry was explicitly invalidated
@@ -183,9 +191,9 @@ func (c *Counters) TLBInvalidated(key uint64) {
 	}
 	c.TLBInvalidations++
 	if c.tlbState == nil {
-		c.tlbState = make(map[uint64]uint8)
+		c.tlbState = dense.NewTable[uint8](0, 0)
 	}
-	c.tlbState[key] = tlbSeen | tlbInvalidated
+	c.tlbState.Set(key, tlbSeen|tlbInvalidated)
 }
 
 // Reset zeroes the event counts, keeping the miss-classifier history —

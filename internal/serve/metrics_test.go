@@ -6,10 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"addrxlat/internal/core"
 	"addrxlat/internal/metrics"
-	"addrxlat/internal/mm"
-	"addrxlat/internal/workload"
 	"addrxlat/internal/xtrace"
 )
 
@@ -21,35 +18,6 @@ func armTest(s *Sim) {
 		BudgetNs:  40 * s.MeanServiceNs(),
 		Exemplars: 5,
 	})
-}
-
-// retrySim builds the failure-IO-producing configuration of
-// TestRetriesOnFailureIOs, so metrics tests cover the retry/backoff
-// lifecycle too.
-func retrySim(t *testing.T, seed uint64) *Sim {
-	t.Helper()
-	a, err := mm.NewDecoupled(mm.DecoupledConfig{
-		Alloc: core.SingleChoice, RAMPages: 1 << 10, VirtualPages: 1 << 14,
-		TLBEntries: 64, ValueBits: 64, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec := mm.EnableExplain(a)
-	gen, err := workload.NewUniform(1<<14, seed+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{
-		Seed: seed, Requests: 3000, BlockPages: 64, QueueCap: 128,
-		MaxAttempts: 3, RetryBaseNs: 500,
-	}, a, gen, ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := s.Calibrate(1000)
-	s.SetArrivals(workload.NewPoisson(seed+2, float64(mean)/0.9))
-	return s
 }
 
 // TestMetricsByteIdenticalRun is the sim-level byte-identity pin: an
@@ -82,7 +50,7 @@ func TestMetricsWindowAccounting(t *testing.T) {
 		sim  func() *Sim
 	}{
 		{"overload", func() *Sim { s := testSim(t, 42, 2.5, true); return s }},
-		{"retries", func() *Sim { return retrySim(t, 11) }},
+		{"retries", func() *Sim { return failureSim(t, 11, false) }},
 	} {
 		s := cfg.sim()
 		armTest(s)
@@ -130,7 +98,7 @@ func TestMetricsExemplarAttribution(t *testing.T) {
 		sim  func() *Sim
 	}{
 		{"overload", func() *Sim { s := testSim(t, 42, 2.5, true); return s }},
-		{"retries", func() *Sim { return retrySim(t, 11) }},
+		{"retries", func() *Sim { return failureSim(t, 11, false) }},
 	} {
 		s := cfg.sim()
 		armTest(s)
@@ -206,7 +174,7 @@ func TestMetricsTraceValidates(t *testing.T) {
 	// Retain every terminal request: retries are rare in this run, and the
 	// retried requests are not necessarily among the slowest few, but the
 	// backoff spans must still appear in the trace.
-	s2 := retrySim(t, 11)
+	s2 := failureSim(t, 11, false)
 	s2.ArmMetrics(metrics.Config{
 		WidthNs:   64 * s2.MeanServiceNs(),
 		BudgetNs:  40 * s2.MeanServiceNs(),

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 
-	"addrxlat/internal/explain"
 	"addrxlat/internal/faultinject"
 	"addrxlat/internal/hashutil"
 	"addrxlat/internal/hist"
@@ -173,7 +172,6 @@ type Sim struct {
 	cfg Config
 	alg mm.Algorithm
 	gen workload.Generator // page-block source
-	ec  *explain.Counters  // non-nil enables failure-IO retry detection
 	arr workload.ArrivalProcess
 	rng *hashutil.RNG // retry jitter
 
@@ -201,10 +199,10 @@ type Sim struct {
 	started       bool
 }
 
-// New builds a Sim over one simulator. gen supplies the page blocks and
-// ec (when non-nil) the explain counters whose IOFailure deltas trigger
-// retries.
-func New(cfg Config, a mm.Algorithm, gen workload.Generator, ec *explain.Counters) (*Sim, error) {
+// New builds a Sim over one simulator. gen supplies the page blocks; an
+// attempt whose cost delta carries decoding misses (the Theorem 4
+// failure path) triggers the retry machinery.
+func New(cfg Config, a mm.Algorithm, gen workload.Generator) (*Sim, error) {
 	if cfg.Requests <= 0 || cfg.BlockPages <= 0 || cfg.QueueCap <= 0 {
 		return nil, fmt.Errorf("serve: Requests, BlockPages, QueueCap must all be > 0 (got %d, %d, %d)",
 			cfg.Requests, cfg.BlockPages, cfg.QueueCap)
@@ -234,7 +232,6 @@ func New(cfg Config, a mm.Algorithm, gen workload.Generator, ec *explain.Counter
 		cfg:   cfg,
 		alg:   a,
 		gen:   gen,
-		ec:    ec,
 		rng:   hashutil.NewRNG(hashutil.Mix64(cfg.Seed) ^ 0x5e27e_b0c5),
 		block: make([]uint64, cfg.BlockPages),
 		queue: newRingQueue(cfg.QueueCap),
@@ -292,28 +289,22 @@ func (s *Sim) Calibrate(n int) int64 {
 
 // serviceBlock draws one page block, services it on the simulator, and
 // prices the cost delta. failIOs is the number of decoupling failure IOs
-// the attempt generated (non-zero triggers the retry path; only
-// meaningful when explain is enabled).
+// the attempt generated (non-zero triggers the retry path): the cost
+// model charges each one exactly one decoding miss, so it is the
+// DecodingMisses delta.
 func (s *Sim) serviceBlock(pages int) (ns int64, failIOs uint64) {
 	buf := s.block[:pages]
 	workload.Fill(s.gen, buf)
 	before := s.alg.Costs()
-	var failBefore uint64
-	if s.ec != nil {
-		failBefore = s.ec.IOFailure
-	}
 	s.alg.AccessBatch(buf)
 	after := s.alg.Costs()
-	ns = s.cfg.Cost.ServiceNs(mm.Costs{
+	d := mm.Costs{
 		IOs:            after.IOs - before.IOs,
 		TLBMisses:      after.TLBMisses - before.TLBMisses,
 		DecodingMisses: after.DecodingMisses - before.DecodingMisses,
 		Accesses:       after.Accesses - before.Accesses,
-	})
-	if s.ec != nil {
-		failIOs = s.ec.IOFailure - failBefore
 	}
-	return ns, failIOs
+	return s.cfg.Cost.ServiceNs(d), d.DecodingMisses
 }
 
 // Start seeds the event loop: the first arrival and, when the governor is

@@ -34,7 +34,7 @@ func testSim(t *testing.T, seed uint64, load float64, governor bool) *Sim {
 	if governor {
 		cfg.Governor = GovernorConfig{WindowNs: 1, QueueHigh: 96, MissNum: 1, MissDen: 5, RecoverDepth: 24, DegradedDiv: 4}
 	}
-	s, err := New(cfg, a, gen, nil)
+	s, err := New(cfg, a, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestTokenBucketThrottles(t *testing.T) {
 	}
 }
 
-// TestRetriesOnFailureIOs drives a decoupled simulator with explain
-// enabled hard enough that iceberg failure IOs occur, and checks the
-// retry machinery engages and the identity still holds.
-func TestRetriesOnFailureIOs(t *testing.T) {
-	seed := uint64(11)
-	// SingleChoice (k=1, Theorem 1) overflows buckets far more readily
-	// than Iceberg at small geometries, so failure IOs actually occur.
+// failureSim builds a serving run over a decoupled simulator with the
+// single-choice allocator (k=1, Theorem 1), which overflows buckets far
+// more readily than Iceberg at small geometries, so failure IOs actually
+// occur and the retry/backoff path engages. explain arms cost attribution
+// on the simulator first.
+func failureSim(t *testing.T, seed uint64, explain bool) *Sim {
+	t.Helper()
 	a, err := mm.NewDecoupled(mm.DecoupledConfig{
 		Alloc: core.SingleChoice, RAMPages: 1 << 10, VirtualPages: 1 << 14,
 		TLBEntries: 64, ValueBits: 64, Seed: seed,
@@ -167,7 +167,9 @@ func TestRetriesOnFailureIOs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec := mm.EnableExplain(a)
+	if explain {
+		mm.EnableExplain(a)
+	}
 	gen, err := workload.NewUniform(1<<14, seed+1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,19 +177,44 @@ func TestRetriesOnFailureIOs(t *testing.T) {
 	s, err := New(Config{
 		Seed: seed, Requests: 3000, BlockPages: 64, QueueCap: 128,
 		MaxAttempts: 3, RetryBaseNs: 500,
-	}, a, gen, ec)
+	}, a, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := s.Calibrate(1000)
 	s.SetArrivals(workload.NewPoisson(seed+2, float64(mean)/0.9))
-	r := s.Run()
+	return s
+}
+
+// TestRetriesOnFailureIOs drives a bare decoupled simulator (no explain)
+// hard enough that failure IOs occur, and checks the retry machinery
+// engages off the cost delta alone and the identity still holds.
+func TestRetriesOnFailureIOs(t *testing.T) {
+	r := failureSim(t, 11, false).Run()
 	c := r.Counters
 	if c.Retries == 0 {
 		t.Fatalf("no retries at a configuration known to produce failure IOs: %+v", c)
 	}
 	if err := c.CheckIdentity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExplainDoesNotPerturbServe pins that arming cost attribution on the
+// simulator leaves a retrying serve run unchanged: counters, horizon,
+// queue and heap peaks, and the whole latency distribution.
+func TestExplainDoesNotPerturbServe(t *testing.T) {
+	for _, seed := range []uint64{7, 11, 42} {
+		bare := failureSim(t, seed, false).Run()
+		armed := failureSim(t, seed, true).Run()
+		if bare.Counters.Retries == 0 {
+			t.Fatalf("seed %d: no retries, so the comparison is vacuous: %+v", seed, bare.Counters)
+		}
+		if armed.Counters != bare.Counters || armed.MeanServiceNs != bare.MeanServiceNs ||
+			armed.HorizonNs != bare.HorizonNs || armed.MaxQueueDepth != bare.MaxQueueDepth ||
+			armed.MaxHeapLen != bare.MaxHeapLen || *armed.Latency != *bare.Latency {
+			t.Fatalf("seed %d: explain-armed run diverged from bare run:\n%+v\n%+v", seed, armed.Counters, bare.Counters)
+		}
 	}
 }
 
