@@ -28,11 +28,13 @@ race:
 		./internal/workload/ ./internal/serve/ ./internal/obs/ ./internal/xtrace/
 
 # fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
-# testdata/fuzz) and the explain TLB-miss classifier (checked against a
-# map-backed oracle), catching regressions without a dedicated fuzz farm.
+# testdata/fuzz), the explain TLB-miss classifier (checked against a
+# map-backed oracle) and the merged recency stack (checked against two
+# DenseLRUs), catching regressions without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzClassifier -fuzztime=20s ./internal/explain/
+	$(GO) test -run=^$$ -fuzz=FuzzRecencyStack -fuzztime=20s ./internal/policy/
 
 # bench runs the hot-path benchmarks with allocation reporting, teeing the
 # output into a timestamped file under results/ so runs can be compared

@@ -320,7 +320,7 @@ func BenchmarkAccessHugePage(b *testing.B) {
 	}
 	reqs := workload.Take(gen, 1<<20)
 	alg, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, Seed: 1,
+		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, VirtualPages: 1 << 18, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -420,7 +420,7 @@ func benchAccessBatch(b *testing.B, alg mm.Algorithm) {
 // BenchmarkAccessBatchHugePage measures the fused columnar stack kernel.
 func BenchmarkAccessBatchHugePage(b *testing.B) {
 	alg, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, Seed: 1,
+		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, VirtualPages: 1 << 18, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -528,7 +528,7 @@ func BenchmarkOptBelady(b *testing.B) {
 // full -benchtime=1s measurement.
 func benchServeSim(b *testing.B, seed uint64, armed bool) *serve.Sim {
 	b.Helper()
-	alg, err := mm.NewHugePage(mm.HugePageConfig{HugePageSize: 1, TLBEntries: 64, RAMPages: 1 << 12, Seed: seed})
+	alg, err := mm.NewHugePage(mm.HugePageConfig{HugePageSize: 1, TLBEntries: 64, RAMPages: 1 << 12, VirtualPages: 1 << 14, Seed: seed})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -564,7 +564,7 @@ func buildAlgorithm(kind string, alloc core.AllocKind, h, g, vPages, ramPages ui
 	switch kind {
 	case "hugepage":
 		return mm.NewHugePage(mm.HugePageConfig{
-			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages,
+			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: vPages,
 			TLBPolicy: tlbPol, RAMPolicy: ramPol, Seed: seed,
 		})
 	case "decoupled":

@@ -46,13 +46,13 @@ func main() {
 
 	// The two physical-huge-page baselines Z must beat simultaneously.
 	h1, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: tlbEntries, RAMPages: ramPages, Seed: 7,
+		HugePageSize: 1, TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: totalPages, Seed: 7,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	hBig, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: hmax, TLBEntries: tlbEntries, RAMPages: ramPages, Seed: 7,
+		HugePageSize: hmax, TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: totalPages, Seed: 7,
 	})
 	if err != nil {
 		log.Fatal(err)

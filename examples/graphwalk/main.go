@@ -47,7 +47,7 @@ func main() {
 	algos := []mm.Algorithm{}
 	for _, h := range []uint64{1, hmax, 256} {
 		a, err := mm.NewHugePage(mm.HugePageConfig{
-			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, Seed: 5,
+			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: totalPages, Seed: 5,
 		})
 		if err != nil {
 			log.Fatal(err)

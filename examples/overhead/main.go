@@ -44,7 +44,7 @@ func main() {
 		phased.Name(), n, phased.Switches())
 
 	h1, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: entries, RAMPages: ramPages, Seed: 1,
+		HugePageSize: 1, TLBEntries: entries, RAMPages: ramPages, VirtualPages: vPages, Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

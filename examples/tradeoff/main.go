@@ -35,6 +35,7 @@ func main() {
 			HugePageSize: h,
 			TLBEntries:   tlbEntries,
 			RAMPages:     ramPages,
+			VirtualPages: totalPages,
 			Seed:         1,
 		})
 		if err != nil {

@@ -62,7 +62,7 @@ func Crossover(s Scale, seed uint64) (*Table, error) {
 			}
 			alg, err := mm.NewHugePage(mm.HugePageConfig{
 				HugePageSize: h, TLBEntries: machine.tlbEntries,
-				RAMPages: machine.ramPages, Seed: seed,
+				RAMPages: machine.ramPages, VirtualPages: machine.virtualPages, Seed: seed,
 			})
 			if err != nil {
 				return nil, err

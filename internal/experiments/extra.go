@@ -99,13 +99,15 @@ func Adaptive(s Scale, seed uint64) (*Table, error) {
 		h = 8
 	}
 	fixed, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+		VirtualPages: machine.virtualPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	small, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+		HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+		VirtualPages: machine.virtualPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err
@@ -196,7 +198,8 @@ func Nested(s Scale, seed uint64) (*Table, error) {
 		Columns: []string{"config", "tlb_misses", "nested_walk_refs", "ios"},
 	}
 	flat, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: 2 * machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+		HugePageSize: 1, TLBEntries: 2 * machine.tlbEntries, RAMPages: machine.ramPages,
+		VirtualPages: machine.virtualPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err

@@ -163,6 +163,7 @@ func Fig1(w Fig1Workload, s Scale, seed uint64) (*Table, error) {
 			HugePageSize: h,
 			TLBEntries:   machine.tlbEntries,
 			RAMPages:     machine.ramPages,
+			VirtualPages: machine.virtualPages,
 			Seed:         seed,
 		})
 		if err != nil {

@@ -56,7 +56,7 @@ func Related(s Scale, seed uint64) (*Table, error) {
 	}
 
 	plain, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: entries, RAMPages: ramPages, Seed: seed,
+		HugePageSize: 1, TLBEntries: entries, RAMPages: ramPages, VirtualPages: vPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err

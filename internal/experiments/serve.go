@@ -143,10 +143,10 @@ func buildServeSpec(table string, s Scale, seed uint64) (*serveSpec, error) {
 	ram, vp, tlb := sp.ramPages, sp.virtualPages, sp.tlbEntries
 	sp.algs = []serveAlg{
 		{name: "hugepage(h=1)", build: func(seed uint64) (mm.Algorithm, error) {
-			return mm.NewHugePage(mm.HugePageConfig{HugePageSize: 1, TLBEntries: tlb, RAMPages: ram, Seed: seed})
+			return mm.NewHugePage(mm.HugePageConfig{HugePageSize: 1, TLBEntries: tlb, RAMPages: ram, VirtualPages: vp, Seed: seed})
 		}},
 		{name: "hugepage(h=64)", build: func(seed uint64) (mm.Algorithm, error) {
-			return mm.NewHugePage(mm.HugePageConfig{HugePageSize: 64, TLBEntries: tlb, RAMPages: ram, Seed: seed})
+			return mm.NewHugePage(mm.HugePageConfig{HugePageSize: 64, TLBEntries: tlb, RAMPages: ram, VirtualPages: vp, Seed: seed})
 		}},
 		{name: "decoupled(iceberg)", build: func(seed uint64) (mm.Algorithm, error) {
 			return mm.NewDecoupled(mm.DecoupledConfig{Alloc: core.IcebergAlloc, RAMPages: ram, VirtualPages: vp, TLBEntries: tlb, ValueBits: 64, Seed: seed})

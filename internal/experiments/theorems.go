@@ -263,13 +263,15 @@ func Theorem4(s Scale, seed uint64) (*Table, error) {
 			return nil, err
 		}
 		base1, err := mm.NewHugePage(mm.HugePageConfig{
-			HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+			HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+			VirtualPages: machine.virtualPages, Seed: seed,
 		})
 		if err != nil {
 			return nil, err
 		}
 		baseH, err := mm.NewHugePage(mm.HugePageConfig{
-			HugePageSize: hmax, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+			HugePageSize: hmax, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+			VirtualPages: machine.virtualPages, Seed: seed,
 		})
 		if err != nil {
 			return nil, err

@@ -29,7 +29,8 @@ func TimeShare(s Scale, seed uint64) (*Table, error) {
 		return nil, err
 	}
 	h1, err := mm.NewHugePage(mm.HugePageConfig{
-		HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+		HugePageSize: 1, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+		VirtualPages: machine.virtualPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err

@@ -18,6 +18,12 @@ type HugePageConfig struct {
 	TLBEntries int
 	// RAMPages P: physical memory size in base pages.
 	RAMPages uint64
+	// VirtualPages V: the address space in base pages, 0 when unknown.
+	// The merged LRU path pre-sizes its recency stack for ⌈V/h⌉ huge
+	// pages (with V unknown the stack grows on demand); when that bound
+	// exceeds policy.RecencyStackKeys the simulator takes the
+	// two-structure path instead.
+	VirtualPages uint64
 	// TLBPolicy and RAMPolicy; the paper uses LRU for both.
 	TLBPolicy policy.Kind
 	RAMPolicy policy.Kind
@@ -63,7 +69,8 @@ func (c *HugePageConfig) validate() error {
 // two zones of one recency order: a single policy.RecencyStack answers
 // both hit/miss questions per access, with bit-identical counters to the
 // two-structure composition (which remains as the path for other
-// replacement policies).
+// replacement policies, and for address spaces whose huge-page numbers
+// do not fit the stack's key index).
 type HugePage struct {
 	cfg   HugePageConfig
 	shift uint // log2(h): huge-page number u = v >> shift
@@ -88,8 +95,13 @@ func NewHugePage(cfg HugePageConfig) (*HugePage, error) {
 	}
 	m := &HugePage{cfg: cfg, shift: uint(bits.TrailingZeros64(cfg.HugePageSize))}
 	frames := int(cfg.RAMPages / cfg.HugePageSize)
-	if cfg.TLBPolicy == policy.LRUKind && cfg.RAMPolicy == policy.LRUKind && !cfg.disableMergedLRU {
-		m.stack = policy.NewRecencyStack(cfg.TLBEntries, frames, 0)
+	hugePages := cfg.VirtualPages >> m.shift // ⌈V/h⌉
+	if cfg.VirtualPages&(cfg.HugePageSize-1) != 0 {
+		hugePages++
+	}
+	if cfg.TLBPolicy == policy.LRUKind && cfg.RAMPolicy == policy.LRUKind && !cfg.disableMergedLRU &&
+		hugePages <= policy.RecencyStackKeys {
+		m.stack = policy.NewRecencyStack(cfg.TLBEntries, frames, hugePages)
 		return m, nil
 	}
 	t, err := tlb.New(cfg.TLBEntries, cfg.TLBPolicy, cfg.Seed)

@@ -3,6 +3,7 @@ package mm
 import (
 	"testing"
 
+	"addrxlat/internal/policy"
 	"addrxlat/internal/workload"
 )
 
@@ -74,5 +75,55 @@ func TestHugePageMergedLRUMatchesComposed(t *testing.T) {
 					sh, seed, merged.ResidentHugePages(), composed.ResidentHugePages())
 			}
 		}
+	}
+}
+
+// TestHugePageKeyIndexBound pins the choice between the two LRU paths on
+// the address-space bound: the merged stack is pre-sized for ⌈V/h⌉ huge
+// pages at h = 1 over the paper's Figure 1 address space (64 GiB of 4 KiB
+// pages) and grows when V is unknown, and the two-structure path takes
+// over when ⌈V/h⌉ does not fit the stack's 29-bit key index. Either way
+// the counters equal those of the forced two-structure path.
+func TestHugePageKeyIndexBound(t *testing.T) {
+	cases := []struct {
+		name   string
+		h, va  uint64
+		merged bool
+	}{
+		{"fig1 VA at h=1", 1, 64 << 30 / 4096, true},
+		{"unknown VA", 64, 0, true},
+		{"past bound at h=1", 1, policy.RecencyStackKeys + 1, false},
+		{"past bound at h=64", 64, policy.RecencyStackKeys*64 + 1, false},
+		{"replayed page numbers", 8, 1 << 40, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := HugePageConfig{HugePageSize: c.h, TLBEntries: 16, RAMPages: 1 << 12, VirtualPages: c.va, Seed: 1}
+			got, err := NewHugePage(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (got.stack != nil) != c.merged {
+				t.Fatalf("merged path = %v, want %v", got.stack != nil, c.merged)
+			}
+			cfg.disableMergedLRU = true
+			want, err := NewHugePage(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.NewBimodal(256*c.h, 1<<16, 0.9, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := workload.Take(gen, 20000)
+			for i := 0; c.va > 0 && i < len(reqs); i += 97 {
+				reqs[i] = c.va - 1 - uint64(i%3) // the top of the address space
+			}
+			got.AccessBatch(reqs)
+			want.AccessBatch(reqs)
+			if got.Costs() != want.Costs() {
+				t.Fatalf("costs %v, two-structure path %v", got.Costs(), want.Costs())
+			}
+		})
 	}
 }

@@ -92,17 +92,26 @@ func explainOf(t *testing.T, a Algorithm) explain.Counters {
 
 // TestStagedBatchScratchReuse pins the steady-state allocation contract
 // of the batch kernels: after a first call warms caches and sizes reused
-// buffers (Decoupled's miss column), AccessBatch allocates nothing.
+// buffers (Decoupled's miss column), AccessBatch allocates nothing. The
+// explain-armed HugePage cases cover its scalar path, which steps the
+// recency stack one key at a time through RecencyStack.Access.
 func TestStagedBatchScratchReuse(t *testing.T) {
 	reqs := stagedTrace(9, 1<<14)
-	for _, idx := range []int{0, 1, 2, 4, 5} { // HugePage h=1/h=64, Decoupled, THP, Superpage
-		a := allAlgorithms(t, 3)[idx]
+	cases := []struct {
+		idx     int // HugePage h=1/h=64, Decoupled, THP, Superpage
+		explain bool
+	}{{0, false}, {1, false}, {2, false}, {4, false}, {5, false}, {0, true}, {1, true}}
+	for _, c := range cases {
+		a := allAlgorithms(t, 3)[c.idx]
+		if c.explain {
+			EnableExplain(a)
+		}
 		a.AccessBatch(reqs) // warm caches and size reused buffers
 		allocs := testing.AllocsPerRun(5, func() {
 			a.AccessBatch(reqs)
 		})
 		if allocs > 0 {
-			t.Errorf("%s: AccessBatch allocates %.1f per call in steady state", a.Name(), allocs)
+			t.Errorf("%s explain=%v: AccessBatch allocates %.1f per call in steady state", a.Name(), c.explain, allocs)
 		}
 	}
 }

@@ -186,17 +186,3 @@ func (a *ARC) Name() string { return string(ARCKind) }
 
 // Target exposes the adaptive T1 target for tests.
 func (a *ARC) Target() int { return a.p }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

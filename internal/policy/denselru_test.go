@@ -3,6 +3,8 @@ package policy
 import (
 	"math/rand"
 	"testing"
+
+	"addrxlat/internal/hashutil"
 )
 
 // TestDenseLRUMatchesLRU drives DenseLRU and the classic map-backed LRU
@@ -133,5 +135,34 @@ func BenchmarkMapLRUAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Access(keys[i&(1<<14-1)])
+	}
+}
+
+// TestDenseLRUTouch pins the split probe the fused kernels use: for a
+// resident key, SlotOf followed by Touch must behave exactly like Access —
+// same recency order, observed through subsequent victim choices.
+func TestDenseLRUTouch(t *testing.T) {
+	const capacity = 32
+	split := NewDenseLRU(capacity, 0)
+	ref := NewDenseLRU(capacity, 0)
+	rng := hashutil.NewRNG(99)
+	for i := 0; i < 50000; i++ {
+		k := rng.Uint64n(capacity * 3)
+		wantHit, wantVictim := ref.Access(k)
+		if s := split.SlotOf(k); s >= 0 {
+			if !wantHit {
+				t.Fatalf("step %d key %d: split sees resident, reference missed", i, k)
+			}
+			split.Touch(s)
+		} else {
+			gotHit, gotVictim := split.Access(k)
+			if gotHit != wantHit || gotVictim != wantVictim {
+				t.Fatalf("step %d key %d: split miss path (%v,%d) != reference (%v,%d)",
+					i, k, gotHit, gotVictim, wantHit, wantVictim)
+			}
+		}
+		if split.Len() != ref.Len() {
+			t.Fatalf("step %d: occupancy diverged %d vs %d", i, split.Len(), ref.Len())
+		}
 	}
 }

@@ -1,22 +1,25 @@
 package policy
 
-import (
-	"math"
+import "fmt"
 
-	"addrxlat/internal/dense"
+// rsNode is one key's recency-list state in 8 bytes: both links, with the
+// key's zone and presence flags in the top three bits of prev. Node key+1
+// belongs to key and node 0 is the head sentinel, so a relink touches only
+// the nodes it names: there is no key→slot lookup before the list work,
+// and no key array to read back on eviction.
+type rsNode struct{ prev, next uint32 }
+
+const (
+	rsZone1   = 1 << 31 // member of zone1
+	rsZone2   = 1 << 30 // member of zone2
+	rsPresent = 1 << 29 // in the recency list
+	rsFlags   = rsZone1 | rsZone2 | rsPresent
+	rsIndex   = rsPresent - 1 // the low 29 bits of prev: a node index
+
+	// RecencyStackKeys bounds a RecencyStack's keys: node key+1 must fit
+	// the 29-bit link index, so keys lie in [0, RecencyStackKeys).
+	RecencyStackKeys = rsIndex
 )
-
-// rsNode is one slot's recency-list state. The three fields a relink
-// touches together — both link pointers and the zone flags — share one
-// 16-byte node, so each slot visited costs one cache line instead of
-// three (the padding keeps nodes from straddling lines). Keys live in a
-// separate array: the hit path never reads them, only eviction and the
-// batch kernel's MRU tracking do.
-type rsNode struct {
-	prev, next int32
-	flags      uint32 // bit 0: member of zone1, bit 1: member of zone2
-	_          uint32
-}
 
 // RecencyStack maintains one exact-LRU recency order over a key stream and
 // answers, in O(1) per access, whether the key currently ranks within the
@@ -24,312 +27,147 @@ type rsNode struct {
 // "zone" of capacity c holds exactly the contents a standalone LRU cache of
 // capacity c would hold after the same stream, so two stacked LRU caches
 // fed identical requests — the huge-page simulator's TLB (ℓ entries) and
-// RAM (P/h frames) — collapse into a single slot table and a single linked
-// list with two boundary markers, instead of two of each. The boundary of a
-// zone is its least recently used member; entering keys push it out (and
-// the marker one step toward the front), exactly as the standalone cache
-// would evict.
+// RAM (P/h frames) — collapse into a single linked list with two boundary
+// markers, instead of two of each. The boundary of a zone is its least
+// recently used member; entering keys push it out (and the marker one step
+// toward the front), exactly as the standalone cache would evict.
 //
 // Hit/miss answers are bit-identical to running two independent LRU caches;
-// TestRecencyStackMatchesTwoLRUs pins this. Keys must be densely numbered,
-// as in DenseLRU.
+// TestRecencyStackMatchesTwoLRUs pins this. Keys index the node array
+// directly, so they must be densely numbered and below RecencyStackKeys.
 type RecencyStack struct {
 	cap1, cap2 int // zone capacities
 	capMax     int // list capacity = max(cap1, cap2)
+	size       int
 
-	keys  []uint64
-	nodes []rsNode // intrusive recency list over slots; index capMax is the sentinel
-	slot  *dense.Table[int32]
-
-	size     int
-	freeHead int32
-	b1, b2   int32 // boundary slots: each zone's least recent member (-1 while empty)
+	nodes  []rsNode // node key+1 is key's; node 0 is the head sentinel
+	b1, b2 uint32   // boundary nodes: each zone's least recent member
 }
 
 // NewRecencyStack builds a stack tracking two zone capacities (both > 0).
-// keyHint, if positive, pre-sizes the key index for keys [0, keyHint).
+// keyHint, if positive, pre-sizes the node array for keys [0, keyHint);
+// a larger key grows it by doubling.
 func NewRecencyStack(cap1, cap2 int, keyHint uint64) *RecencyStack {
 	if cap1 <= 0 || cap2 <= 0 {
 		panic("policy: RecencyStack capacities must be positive")
 	}
-	capMax := cap1
-	if cap2 > capMax {
-		capMax = cap2
+	if keyHint > RecencyStackKeys {
+		panic(fmt.Sprintf("policy: RecencyStack key hint %d exceeds the %d-key node index", keyHint, RecencyStackKeys))
 	}
-	if capMax >= math.MaxInt32 {
-		panic("policy: RecencyStack capacity exceeds int32 slot space")
+	return &RecencyStack{cap1: cap1, cap2: cap2, capMax: max(cap1, cap2), nodes: make([]rsNode, keyHint+1)}
+}
+
+// grow extends the node array to cover key, at least doubling it.
+func (r *RecencyStack) grow(key uint64) []rsNode {
+	if key >= RecencyStackKeys {
+		panic(fmt.Sprintf("policy: RecencyStack key %d is past the %d-key node index", key, RecencyStackKeys))
 	}
-	r := &RecencyStack{
-		cap1:   cap1,
-		cap2:   cap2,
-		capMax: capMax,
-		keys:   make([]uint64, capMax),
-		nodes:  make([]rsNode, capMax+1),
-		slot:   dense.NewTable[int32](-1, int(keyHint)),
-		b1:     -1,
-		b2:     -1,
-	}
-	head := int32(capMax)
-	r.nodes[head].prev = head
-	r.nodes[head].next = head
-	// Free list threaded through the next links.
-	for s := 0; s < capMax-1; s++ {
-		r.nodes[s].next = int32(s + 1)
-	}
-	r.nodes[capMax-1].next = -1
-	r.freeHead = 0
-	return r
+	nodes := make([]rsNode, min(max(2*uint64(len(r.nodes)), key+2), uint64(RecencyStackKeys+1)))
+	copy(nodes, r.nodes)
+	r.nodes = nodes
+	return nodes
 }
 
 // Access records a request for key and reports whether it was a hit in
 // zone1 and in zone2 — exactly the hits two standalone LRU caches of the
-// zone capacities would report. Steady state performs no allocation.
+// zone capacities would report. It runs AccessShifted over a one-element
+// column; steady state performs no allocation.
 func (r *RecencyStack) Access(key uint64) (hit1, hit2 bool) {
-	h := int32(r.capMax)
-	nodes := r.nodes
-	if s := r.slot.At(key); s >= 0 {
-		f := nodes[s].flags
-		hit1 = f&1 != 0
-		hit2 = f&2 != 0
-		if nodes[h].next == s {
-			return hit1, hit2 // already most recent; no rank changes
-		}
-		// Zone membership updates. A key outside a zone can only exist
-		// once the zone is full, so the boundary markers are valid here.
-		if !hit1 {
-			nodes[r.b1].flags &^= 1
-			nodes[s].flags |= 1
-			if r.cap1 == 1 {
-				r.b1 = s
-			} else {
-				r.b1 = nodes[r.b1].prev
-			}
-		} else if s == r.b1 {
-			r.b1 = nodes[s].prev
-		}
-		if !hit2 {
-			nodes[r.b2].flags &^= 2
-			nodes[s].flags |= 2
-			if r.cap2 == 1 {
-				r.b2 = s
-			} else {
-				r.b2 = nodes[r.b2].prev
-			}
-		} else if s == r.b2 {
-			r.b2 = nodes[s].prev
-		}
-		// Move to front.
-		p, n := nodes[s].prev, nodes[s].next
-		nodes[p].next = n
-		nodes[n].prev = p
-		f2 := nodes[h].next
-		nodes[s].prev = h
-		nodes[s].next = f2
-		nodes[f2].prev = s
-		nodes[h].next = s
-		return hit1, hit2
-	}
-
-	// Miss: evict the overall tail if the list is at capacity, then insert
-	// the new key at the front and let it join both zones.
-	var s int32
-	if r.size == r.capMax {
-		t := nodes[h].prev
-		ft := nodes[t].flags
-		if ft&1 != 0 { // tail was zone1's boundary (only when cap1 == capMax)
-			r.b1 = nodes[t].prev
-		}
-		if ft&2 != 0 {
-			r.b2 = nodes[t].prev
-		}
-		p, n := nodes[t].prev, nodes[t].next
-		nodes[p].next = n
-		nodes[n].prev = p
-		r.slot.Delete(r.keys[t])
-		r.size--
-		s = t
-	} else {
-		s = r.freeHead
-		r.freeHead = nodes[s].next
-	}
-	sizeBefore := r.size
-	r.keys[s] = key
-	r.slot.Set(key, s)
-	f2 := nodes[h].next
-	nodes[s] = rsNode{prev: h, next: f2}
-	nodes[f2].prev = s
-	nodes[h].next = s
-	r.size++
-
-	if sizeBefore < r.cap1 { // zone1 not yet full: join without displacing
-		nodes[s].flags |= 1
-		if sizeBefore == 0 {
-			r.b1 = s
-		}
-	} else { // full: the boundary member falls out, marker steps forward
-		nodes[r.b1].flags &^= 1
-		nodes[s].flags |= 1
-		if r.cap1 == 1 {
-			r.b1 = s
-		} else {
-			r.b1 = nodes[r.b1].prev
-		}
-	}
-	if sizeBefore < r.cap2 {
-		nodes[s].flags |= 2
-		if sizeBefore == 0 {
-			r.b2 = s
-		}
-	} else {
-		nodes[r.b2].flags &^= 2
-		nodes[s].flags |= 2
-		if r.cap2 == 1 {
-			r.b2 = s
-		} else {
-			r.b2 = nodes[r.b2].prev
-		}
-	}
-	return false, false
+	vs := [1]uint64{key}
+	miss1, miss2 := r.AccessShifted(vs[:], 0)
+	return miss1 == 0, miss2 == 0
 }
 
 // AccessShifted services one whole request column: for each request v the
 // key v>>shift is accessed, and the total zone misses across the column are
 // returned (miss1 for zone1, miss2 for zone2) — exactly what summing
-// !hit1/!hit2 over per-request Access calls would yield.
+// !hit1/!hit2 over per-request accesses would yield.
 //
-// This is the columnar kernel of the huge-page simulator's batch path. Two
-// things make it faster than the scalar loop without changing a single
-// state transition (TestRecencyStackColumnMatchesScalar pins equality):
-//
-//   - Run-length collapse: a request whose key equals the current
-//     most-recent key is a guaranteed hit in both zones (the MRU ranks
-//     first everywhere) and its move-to-front is a no-op, so the kernel
-//     skips it with one register compare — no slot-table load. Collapsing
-//     is exact under LRU; the skipped accesses contribute no misses.
-//   - Column locals: the node array and boundary markers live in locals
-//     across the whole column instead of being re-loaded through the
-//     receiver on every call.
-//
-// The key derivation (v>>shift) is fused into the loop rather than staged
-// through a separate unit-key buffer: deriving inline costs one shift per
-// element, while a materialized column would cost a full extra memory pass
-// over the chunk.
+// This is the columnar kernel of the huge-page simulator. A request whose
+// key is already the most recent is a guaranteed hit in both zones (the
+// MRU ranks first everywhere) and its move-to-front is a no-op, so the
+// kernel skips it with one compare; collapsing such runs is exact under
+// LRU. The node array and boundary markers live in locals across the
+// column, and the key derivation (v>>shift) is fused into the loop rather
+// than staged through a separate key buffer.
 func (r *RecencyStack) AccessShifted(vs []uint64, shift uint) (miss1, miss2 uint64) {
-	h := int32(r.capMax)
 	nodes := r.nodes
-	keys := r.keys
+	cap1, cap2, capMax, size := r.cap1, r.cap2, r.capMax, r.size
 	b1, b2 := r.b1, r.b2
-	mru := nodes[h].next // current MRU slot; == h while the list is empty
-	var mruKey uint64
-	if mru != h {
-		mruKey = keys[mru]
-	}
 	for _, v := range vs {
 		key := v >> shift
-		if key == mruKey && mru != h {
-			continue // repeat of the most recent key: hits both zones
+		if key >= uint64(len(nodes)-1) {
+			nodes = r.grow(key)
 		}
-		if s := r.slot.At(key); s >= 0 {
-			f := nodes[s].flags
-			// The MRU short-circuit above already covered nodes[h].next == s.
-			if f&1 == 0 {
-				miss1++
-				nodes[b1].flags &^= 1
-				nodes[s].flags |= 1
-				if r.cap1 == 1 {
+		s := uint32(key) + 1
+		if s == nodes[0].next {
+			continue // repeat of the most recent key: hits both zones; the relink below assumes s is not the MRU
+		}
+		x := nodes[s].prev
+		if x&rsPresent != 0 {
+			p, n := x&rsIndex, nodes[s].next
+			nodes[p].next = n
+			nodes[n].prev = nodes[n].prev&rsFlags | p
+		} else if size == capMax {
+			// Evict the overall tail; a zone whose boundary it was (only a
+			// zone of capacity capMax) now ends one step toward the front.
+			t := nodes[0].prev
+			ft := nodes[t].prev
+			p := ft & rsIndex
+			if ft&rsZone1 != 0 {
+				b1 = p
+			}
+			if ft&rsZone2 != 0 {
+				b2 = p
+			}
+			nodes[p].next = 0
+			nodes[0].prev = p
+			nodes[t].prev = 0
+			size--
+		}
+		// A key outside a zone enters it. If the zone is full its boundary
+		// member falls out and the marker steps forward; a key outside a
+		// full zone can only exist in the list once the zone is full, so
+		// the marker is valid here.
+		if x&rsZone1 == 0 {
+			miss1++
+			if size >= cap1 {
+				nodes[b1].prev &^= rsZone1
+				if cap1 == 1 {
 					b1 = s
 				} else {
-					b1 = nodes[b1].prev
+					b1 = nodes[b1].prev & rsIndex
 				}
-			} else if s == b1 {
-				b1 = nodes[s].prev
+			} else if size == 0 {
+				b1 = s
 			}
-			if f&2 == 0 {
-				miss2++
-				nodes[b2].flags &^= 2
-				nodes[s].flags |= 2
-				if r.cap2 == 1 {
+		} else if s == b1 {
+			b1 = x & rsIndex
+		}
+		if x&rsZone2 == 0 {
+			miss2++
+			if size >= cap2 {
+				nodes[b2].prev &^= rsZone2
+				if cap2 == 1 {
 					b2 = s
 				} else {
-					b2 = nodes[b2].prev
+					b2 = nodes[b2].prev & rsIndex
 				}
-			} else if s == b2 {
-				b2 = nodes[s].prev
-			}
-			p, n := nodes[s].prev, nodes[s].next
-			nodes[p].next = n
-			nodes[n].prev = p
-			f2 := nodes[h].next
-			nodes[s].prev = h
-			nodes[s].next = f2
-			nodes[f2].prev = s
-			nodes[h].next = s
-			mru, mruKey = s, key
-			continue
-		}
-
-		miss1++
-		miss2++
-		var s int32
-		if r.size == r.capMax {
-			t := nodes[h].prev
-			ft := nodes[t].flags
-			if ft&1 != 0 {
-				b1 = nodes[t].prev
-			}
-			if ft&2 != 0 {
-				b2 = nodes[t].prev
-			}
-			p, n := nodes[t].prev, nodes[t].next
-			nodes[p].next = n
-			nodes[n].prev = p
-			r.slot.Delete(keys[t])
-			r.size--
-			s = t
-		} else {
-			s = r.freeHead
-			r.freeHead = nodes[s].next
-		}
-		sizeBefore := r.size
-		keys[s] = key
-		r.slot.Set(key, s)
-		f2 := nodes[h].next
-		nodes[s] = rsNode{prev: h, next: f2}
-		nodes[f2].prev = s
-		nodes[h].next = s
-		r.size++
-
-		if sizeBefore < r.cap1 {
-			nodes[s].flags |= 1
-			if sizeBefore == 0 {
-				b1 = s
-			}
-		} else {
-			nodes[b1].flags &^= 1
-			nodes[s].flags |= 1
-			if r.cap1 == 1 {
-				b1 = s
-			} else {
-				b1 = nodes[b1].prev
-			}
-		}
-		if sizeBefore < r.cap2 {
-			nodes[s].flags |= 2
-			if sizeBefore == 0 {
+			} else if size == 0 {
 				b2 = s
 			}
-		} else {
-			nodes[b2].flags &^= 2
-			nodes[s].flags |= 2
-			if r.cap2 == 1 {
-				b2 = s
-			} else {
-				b2 = nodes[b2].prev
-			}
+		} else if s == b2 {
+			b2 = x & rsIndex
 		}
-		mru, mruKey = s, key
+		if x&rsPresent == 0 {
+			size++
+		}
+		f := nodes[0].next
+		nodes[s] = rsNode{prev: rsFlags, next: f}
+		nodes[f].prev = nodes[f].prev&rsFlags | s
+		nodes[0].next = s
 	}
-	r.b1, r.b2 = b1, b2
+	r.size, r.b1, r.b2 = size, b1, b2
 	return miss1, miss2
 }
 

@@ -133,10 +133,11 @@ func (b *Bimodal) HotRange() (start, length uint64) { return b.hotStart, b.hotPa
 type GraphWalk struct {
 	totalPages uint64
 	outDegree  int
-	alpha      float64
-	rng        *hashutil.RNG
-	edgeSeed   uint64
-	current    uint64
+	// fMax = F(N+1) and −1/α, the constants of every Pareto draw.
+	fMax, negInvAlpha float64
+	rng               *hashutil.RNG
+	edgeSeed          uint64
+	current           uint64
 }
 
 var _ Generator = (*GraphWalk)(nil)
@@ -155,10 +156,13 @@ func NewGraphWalk(totalPages uint64, alpha float64, seed uint64) (*GraphWalk, er
 	return &GraphWalk{
 		totalPages: totalPages,
 		outDegree:  outDegree,
-		alpha:      alpha,
-		rng:        rng,
-		edgeSeed:   hashutil.Mix64(seed ^ 0xedce5eed),
-		current:    rng.Uint64n(totalPages),
+		// Truncated Pareto with x_m = 1 over [1, N+1): CDF F(x) = 1 − x^{−α},
+		// normalized by F(N+1).
+		fMax:        1 - math.Pow(float64(totalPages)+1, -alpha),
+		negInvAlpha: -1 / alpha,
+		rng:         rng,
+		edgeSeed:    hashutil.Mix64(seed ^ 0xedce5eed),
+		current:     rng.Uint64n(totalPages),
 	}, nil
 }
 
@@ -166,11 +170,7 @@ func NewGraphWalk(totalPages uint64, alpha float64, seed uint64) (*GraphWalk, er
 // transform sampling of the continuous Pareto CDF truncated to the page
 // range: i = ⌊(1−u·F)^{−1/α}⌋ − 1 for u ∈ [0,1).
 func (g *GraphWalk) pareto(u float64) uint64 {
-	// Truncated Pareto with x_m = 1 over [1, N+1): CDF F(x) = 1 − x^{−α};
-	// normalize by F(N+1).
-	n := float64(g.totalPages)
-	fMax := 1 - math.Pow(n+1, -g.alpha)
-	x := math.Pow(1-u*fMax, -1/g.alpha)
+	x := math.Pow(1-u*g.fMax, g.negInvAlpha)
 	i := uint64(x) - 1
 	if i >= g.totalPages {
 		i = g.totalPages - 1
@@ -192,6 +192,15 @@ func (g *GraphWalk) Next() uint64 {
 	j := g.rng.Intn(g.outDegree)
 	g.current = g.destination(v, j)
 	return v
+}
+
+// NextBatch implements BatchGenerator: the walk of repeated Next calls,
+// looped over the concrete receiver.
+func (g *GraphWalk) NextBatch(dst []uint64) {
+	for i := range dst {
+		dst[i] = g.current
+		g.current = g.destination(g.current, g.rng.Intn(g.outDegree))
+	}
 }
 
 // Name implements Generator.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"addrxlat/internal/hashutil"
 )
 
 func TestTake(t *testing.T) {
@@ -130,6 +132,54 @@ func TestGraphWalkEdgeConsistency(t *testing.T) {
 	}
 	if d1 >= 1<<12 {
 		t.Fatalf("destination %d outside space", d1)
+	}
+}
+
+// TestGraphWalkStreamIdentity pins the walk to the per-step Pareto
+// formula, which recomputes F(N+1) and −1/α on every draw: Next and
+// NextBatch, in uneven chunks, must emit exactly the reference stream.
+func TestGraphWalkStreamIdentity(t *testing.T) {
+	for _, c := range []struct {
+		total uint64
+		alpha float64
+	}{{1 << 21, 0.01}, {1 << 18, 0.01}, {1000, 0.5}, {7, 2}, {1, 0.01}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			ref, _ := NewGraphWalk(c.total, c.alpha, seed)
+			want := make([]uint64, 50000)
+			for i := range want {
+				v := ref.current
+				h := hashutil.Hash64(ref.edgeSeed+uint64(ref.rng.Intn(ref.outDegree)), v)
+				u := float64(h>>11) / (1 << 53)
+				fMax := 1 - math.Pow(float64(c.total)+1, -c.alpha)
+				next := uint64(math.Pow(1-u*fMax, -1/c.alpha)) - 1
+				if next >= c.total {
+					next = c.total - 1
+				}
+				ref.current = next
+				want[i] = v
+			}
+
+			g, _ := NewGraphWalk(c.total, c.alpha, seed)
+			got := make([]uint64, len(want))
+			rng := hashutil.NewRNG(seed)
+			for lo := 0; lo < len(got); {
+				hi := min(lo+1+rng.Intn(700), len(got))
+				if hi-lo < 3 {
+					for i := lo; i < hi; i++ {
+						got[i] = g.Next()
+					}
+				} else {
+					g.NextBatch(got[lo:hi])
+				}
+				lo = hi
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("N=%d α=%v seed=%d: step %d emits %d, per-step formula %d",
+						c.total, c.alpha, seed, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
