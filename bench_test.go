@@ -364,7 +364,7 @@ func BenchmarkAccessTHP(b *testing.B) {
 	}
 	reqs := workload.Take(gen, 1<<20)
 	alg, err := mm.NewTHP(mm.THPConfig{
-		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, Seed: 1,
+		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, VirtualPages: 1 << 18, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -383,7 +383,7 @@ func BenchmarkAccessSuperpage(b *testing.B) {
 	}
 	reqs := workload.Take(gen, 1<<20)
 	alg, err := mm.NewSuperpage(mm.SuperpageConfig{
-		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, Seed: 1,
+		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, VirtualPages: 1 << 18, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -469,7 +469,7 @@ func BenchmarkAccessBatchHybrid(b *testing.B) {
 // BenchmarkAccessBatchTHP measures the fused in-order THP kernel.
 func BenchmarkAccessBatchTHP(b *testing.B) {
 	alg, err := mm.NewTHP(mm.THPConfig{
-		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, Seed: 1,
+		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, VirtualPages: 1 << 18, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -481,7 +481,7 @@ func BenchmarkAccessBatchTHP(b *testing.B) {
 // superpage kernel.
 func BenchmarkAccessBatchSuperpage(b *testing.B) {
 	alg, err := mm.NewSuperpage(mm.SuperpageConfig{
-		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, Seed: 1,
+		HugePageSize: 64, TLBEntries: 1536, RAMPages: 1 << 16, VirtualPages: 1 << 18, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -584,20 +584,20 @@ func buildAlgorithm(kind string, alloc core.AllocKind, h, g, vPages, ramPages ui
 		})
 	case "thp":
 		return mm.NewTHP(mm.THPConfig{
-			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, Seed: seed,
+			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: vPages, Seed: seed,
 		})
 	case "superpage":
 		return mm.NewSuperpage(mm.SuperpageConfig{
-			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, Seed: seed,
+			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: vPages, Seed: seed,
 		})
 	case "hawkeye":
 		return mm.NewHawkEye(mm.HawkEyeConfig{
-			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, Seed: seed,
+			HugePageSize: h, TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: vPages, Seed: seed,
 		})
 	case "directseg":
 		return mm.NewDirectSegment(mm.DirectSegmentConfig{
 			SegmentStart: 0, SegmentPages: ramPages / 2,
-			TLBEntries: tlbEntries, RAMPages: ramPages, Seed: seed,
+			TLBEntries: tlbEntries, RAMPages: ramPages, VirtualPages: vPages, Seed: seed,
 		})
 	case "coalesced":
 		return mm.NewCoalesced(mm.CoalescedConfig{
@@ -608,12 +608,12 @@ func buildAlgorithm(kind string, alloc core.AllocKind, h, g, vPages, ramPages ui
 		return mm.NewNested(mm.NestedConfig{
 			GuestHugePageSize: h, HostHugePageSize: 1,
 			GuestTLBEntries: tlbEntries, HostTLBEntries: tlbEntries,
-			RAMPages: ramPages, Seed: seed,
+			RAMPages: ramPages, VirtualPages: vPages, Seed: seed,
 		})
 	case "tlb-only":
-		return mm.NewTLBOnly(h, tlbEntries, tlbPol, seed)
+		return mm.NewTLBOnly(h, tlbEntries, vPages, tlbPol, seed)
 	case "ram-only":
-		return mm.NewRAMOnly(ramPages, ramPol, seed)
+		return mm.NewRAMOnly(ramPages, vPages, ramPol, seed)
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", kind)
 	}

@@ -59,11 +59,11 @@ func main() {
 	}
 	// The side optimizers of the theorem statement (Lemma 1's paging
 	// problems).
-	x, err := mm.NewTLBOnly(hmax, tlbEntries, policy.LRUKind, 7)
+	x, err := mm.NewTLBOnly(hmax, tlbEntries, totalPages, policy.LRUKind, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	y, err := mm.NewRAMOnly(z.Params().MaxResident, policy.LRUKind, 7)
+	y, err := mm.NewRAMOnly(z.Params().MaxResident, totalPages, policy.LRUKind, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,8 +13,8 @@ package dense
 // SparseBound is the key bound of the flat region: keys below it live in
 // the grow-on-demand array; keys at or above it fall back to a hash map.
 // Page and region numbers — the intended keys — sit far below the bound,
-// so the map exists only for callers that tag keys with high bits (e.g.
-// the nested-translation model's page-table region at 1<<62).
+// so the map exists only for sparse keys, such as the page numbers of a
+// replayed trace.
 const SparseBound = 1 << 26
 
 // Table is a flat-array map from small dense uint64 keys to values. A

@@ -113,19 +113,22 @@ func Adaptive(s Scale, seed uint64) (*Table, error) {
 		return nil, err
 	}
 	thp, err := mm.NewTHP(mm.THPConfig{
-		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+		VirtualPages: machine.virtualPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	sp, err := mm.NewSuperpage(mm.SuperpageConfig{
-		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+		VirtualPages: machine.virtualPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	he, err := mm.NewHawkEye(mm.HawkEyeConfig{
-		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages, Seed: seed,
+		HugePageSize: h, TLBEntries: machine.tlbEntries, RAMPages: machine.ramPages,
+		VirtualPages: machine.virtualPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err
@@ -213,7 +216,7 @@ func Nested(s Scale, seed uint64) (*Table, error) {
 		n, err := mm.NewNested(mm.NestedConfig{
 			GuestHugePageSize: 1, HostHugePageSize: 1,
 			GuestTLBEntries: guestEntries, HostTLBEntries: hostEntries,
-			RAMPages: machine.ramPages, Seed: seed,
+			RAMPages: machine.ramPages, VirtualPages: machine.virtualPages, Seed: seed,
 		})
 		if err != nil {
 			return nil, err

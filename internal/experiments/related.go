@@ -75,7 +75,7 @@ func Related(s Scale, seed uint64) (*Table, error) {
 	}
 	ds, err := mm.NewDirectSegment(mm.DirectSegmentConfig{
 		SegmentStart: 0, SegmentPages: segPages, TLBEntries: entries,
-		RAMPages: ramPages, Seed: seed,
+		RAMPages: ramPages, VirtualPages: vPages, Seed: seed,
 	})
 	if err != nil {
 		return nil, err

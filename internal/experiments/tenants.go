@@ -47,7 +47,8 @@ func Tenants(entries int, hotPages uint64, nAccesses int, seed uint64) (*Table, 
 		if err != nil {
 			return err
 		}
-		shared, err := tlb.New(entries, policy.LRUKind, seed)
+		// Interleaved pages are tenant<<spaceBits | page: below k<<spaceBits.
+		shared, err := tlb.New(entries, uint64(k)<<spaceBits, policy.LRUKind, seed)
 		if err != nil {
 			return err
 		}
@@ -74,7 +75,7 @@ func Tenants(entries int, hotPages uint64, nAccesses int, seed uint64) (*Table, 
 
 // touch performs one TLB reference, inserting on miss.
 func touch(t *tlb.TLB, page uint64) {
-	if _, ok := t.Lookup(page); !ok {
-		t.Insert(page, tlb.Entry{})
+	if !t.Lookup(page) {
+		t.Insert(page)
 	}
 }

@@ -254,11 +254,11 @@ func Theorem4(s Scale, seed uint64) (*Table, error) {
 			return nil, err
 		}
 		hmax := uint64(z.Params().HMax)
-		x, err := mm.NewTLBOnly(hmax, machine.tlbEntries, policy.LRUKind, seed)
+		x, err := mm.NewTLBOnly(hmax, machine.tlbEntries, machine.virtualPages, policy.LRUKind, seed)
 		if err != nil {
 			return nil, err
 		}
-		y, err := mm.NewRAMOnly(z.Params().MaxResident, policy.LRUKind, seed)
+		y, err := mm.NewRAMOnly(z.Params().MaxResident, machine.virtualPages, policy.LRUKind, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -34,8 +34,8 @@ func allAlgorithms(t testing.TB, seed uint64) []Algorithm {
 	add(NewDirectSegment(DirectSegmentConfig{SegmentStart: 0, SegmentPages: ram / 4, TLBEntries: entries, RAMPages: ram, Seed: seed}))
 	add(NewCoalesced(CoalescedConfig{CoalesceLimit: 4, TLBEntries: entries, RAMPages: ram, VirtualPages: vspace, Seed: seed}))
 	add(NewGeometry(GeometryConfig{Geometry: GeometrySetAssoc, Entries: entries, Ways: 4, RAMPages: ram, Seed: seed}))
-	add(NewTLBOnly(8, entries, "lru", seed))
-	add(NewRAMOnly(ram, "lru", seed))
+	add(NewTLBOnly(8, entries, vspace, "lru", seed))
+	add(NewRAMOnly(ram, vspace, "lru", seed))
 	return algos
 }
 

@@ -64,11 +64,12 @@ func NewCoalesced(cfg CoalescedConfig) (*Coalesced, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t, err := tlb.New(cfg.TLBEntries, policy.LRUKind, cfg.Seed)
+	// TLB keys are tagged pages and groups, below 2V.
+	t, err := tlb.New(cfg.TLBEntries, 2*cfg.VirtualPages, policy.LRUKind, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ram, err := policy.New(policy.LRUKind, int(cfg.RAMPages), cfg.Seed+1)
+	ram, err := policy.NewKeyed(policy.LRUKind, int(cfg.RAMPages), cfg.VirtualPages, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -128,20 +129,17 @@ func (m *Coalesced) Access(v uint64) {
 
 	// TLB side: a group entry covering v counts as a hit.
 	group := v / m.cfg.CoalesceLimit
-	if _, ok := m.tlb.Lookup(coalKeyGroup(group)); ok {
-		return
-	}
-	if _, ok := m.tlb.Lookup(coalKeySingle(v)); ok {
+	if m.tlb.Lookup(coalKeyGroup(group)) || m.tlb.Lookup(coalKeySingle(v)) {
 		return
 	}
 	m.costs.TLBMisses++
 	m.ex.TLBMiss(v)
 	if m.groupContiguous(v) {
-		m.tlb.Insert(coalKeyGroup(group), tlb.Entry{})
+		m.tlb.Insert(coalKeyGroup(group))
 		m.coalesced++
 		m.ex.CoalescedFill()
 	} else {
-		m.tlb.Insert(coalKeySingle(v), tlb.Entry{})
+		m.tlb.Insert(coalKeySingle(v))
 		m.singles++
 		m.ex.SingleFill()
 	}

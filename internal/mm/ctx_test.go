@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestRunWarmCtxMatchesRunWarm pins the chunked runner's counter
+// TestRunPhaseChunksCtxMatchesRunWarm pins the chunked runner's counter
 // guarantee: with a live context and no sampler it is byte-identical to
 // RunWarm for every Algorithm implementation, despite the chunked
 // feeding.
-func TestRunWarmCtxMatchesRunWarm(t *testing.T) {
+func TestRunPhaseChunksCtxMatchesRunWarm(t *testing.T) {
 	reqs := sampleReqs(40000)
 	warm, meas := reqs[:20000], reqs[20000:]
 	plain := allAlgorithms(t, 3)
@@ -39,11 +39,11 @@ func (c *cancelAfter) Sample(string, string, Costs) {
 	}
 }
 
-// TestRunWarmCtxCanceled verifies cancellation stops the run at a
+// TestRunPhaseChunksCtxCanceled verifies cancellation stops the run at a
 // chunk boundary with the context's error: a pre-canceled context
 // services nothing, and a cancel after the third chunk leaves exactly
 // three chunks' worth of accesses on the counters.
-func TestRunWarmCtxCanceled(t *testing.T) {
+func TestRunPhaseChunksCtxCanceled(t *testing.T) {
 	reqs := sampleReqs(10000)
 	a := allAlgorithms(t, 1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
@@ -68,8 +68,8 @@ func TestRunWarmCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestRunPhaseSampledCtxSamples verifies sampling fires once per chunk.
-func TestRunPhaseSampledCtxSamples(t *testing.T) {
+// TestRunPhaseChunksCtxSamplesPerChunk verifies sampling fires once per chunk.
+func TestRunPhaseChunksCtxSamplesPerChunk(t *testing.T) {
 	reqs := sampleReqs(10000)
 	a := allAlgorithms(t, 1)[0]
 	s := &collectSampler{}

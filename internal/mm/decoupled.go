@@ -57,25 +57,11 @@ func (c *DecoupledConfig) validate() error {
 // decoupledTLB is the minimal TLB surface Z needs, satisfied by both the
 // fully associative and set-associative models.
 type decoupledTLB interface {
-	lookupHit(u uint64) bool
-	insertEntry(u uint64)
-	resetCounters()
-	reach(pagesPerEntry uint64) uint64
+	Lookup(u uint64) bool
+	Insert(u uint64) (victim uint64, evicted bool)
+	ResetCounters()
+	Reach(pagesPerEntry uint64) uint64
 }
-
-type fullDecoupledTLB struct{ t *tlb.TLB }
-
-func (f fullDecoupledTLB) lookupHit(u uint64) bool   { return f.t.LookupHit(u) }
-func (f fullDecoupledTLB) insertEntry(u uint64)      { f.t.Insert(u, tlb.Entry{}) }
-func (f fullDecoupledTLB) resetCounters()            { f.t.ResetCounters() }
-func (f fullDecoupledTLB) reach(pages uint64) uint64 { return f.t.Reach(pages) }
-
-type setDecoupledTLB struct{ t *tlb.SetAssociative }
-
-func (s setDecoupledTLB) lookupHit(u uint64) bool   { return s.t.LookupHit(u) }
-func (s setDecoupledTLB) insertEntry(u uint64)      { s.t.Insert(u, tlb.Entry{}) }
-func (s setDecoupledTLB) resetCounters()            { s.t.ResetCounters() }
-func (s setDecoupledTLB) reach(pages uint64) uint64 { return s.t.Reach(pages) }
 
 // Decoupled is the paper's algorithm Z (Theorem 4): a huge-page decoupling
 // scheme D combined with a TLB-replacement policy X over virtual huge
@@ -131,21 +117,20 @@ func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The TLB's keys are huge pages v>>hshift < V/hmax+1; Y's are base
+	// pages v < V.
+	hshift := uint(bits.TrailingZeros64(uint64(params.HMax)))
+	tlbKeys := cfg.VirtualPages>>hshift + 1
 	var cache decoupledTLB
 	if cfg.TLBWays > 0 {
-		t, err := tlb.NewSetAssociative(cfg.TLBEntries, cfg.TLBWays, cfg.TLBPolicy, cfg.Seed+2)
-		if err != nil {
-			return nil, err
-		}
-		cache = setDecoupledTLB{t}
+		cache, err = tlb.NewSetAssociative(cfg.TLBEntries, cfg.TLBWays, tlbKeys, cfg.TLBPolicy, cfg.Seed+2)
 	} else {
-		t, err := tlb.New(cfg.TLBEntries, cfg.TLBPolicy, cfg.Seed+2)
-		if err != nil {
-			return nil, err
-		}
-		cache = fullDecoupledTLB{t}
+		cache, err = tlb.New(cfg.TLBEntries, tlbKeys, cfg.TLBPolicy, cfg.Seed+2)
 	}
-	ramY, err := policy.New(cfg.RAMPolicy, int(params.MaxResident), cfg.Seed+3)
+	if err != nil {
+		return nil, err
+	}
+	ramY, err := policy.NewKeyed(cfg.RAMPolicy, int(params.MaxResident), cfg.VirtualPages, cfg.Seed+3)
 	if err != nil {
 		return nil, err
 	}
@@ -155,11 +140,11 @@ func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
 		scheme: scheme,
 		tlb:    cache,
 		ramY:   ramY,
-		hshift: uint(bits.TrailingZeros64(uint64(params.HMax))),
+		hshift: hshift,
 	}
 	z.ramFlat, _ = ramY.(*policy.DenseLRU)
-	if ft, ok := cache.(fullDecoupledTLB); ok && ft.t.Flat() {
-		z.tlbFlat = ft.t
+	if ft, ok := cache.(*tlb.TLB); ok && ft.Flat() {
+		z.tlbFlat = ft
 	}
 	return z, nil
 }
@@ -186,10 +171,10 @@ func (z *Decoupled) Access(v uint64) {
 	// --- TLB side (policy X) ---
 	// The TLB stores ψ(u); since ψ updates are free while u is resident,
 	// we model the entry as always holding the live value.
-	if !z.tlb.lookupHit(u) {
+	if !z.tlb.Lookup(u) {
 		z.costs.TLBMisses++
 		z.ex.TLBMiss(u)
-		z.tlb.insertEntry(u)
+		z.tlb.Insert(u)
 	}
 
 	// --- Service the request via the decoding function f ---
@@ -259,7 +244,7 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 			continue
 		}
 		havePrev, prevV = true, v
-		_, hit, victim := ry.AccessSlot(v)
+		hit, victim := ry.Access(v)
 		if !hit {
 			ios++
 			z.ex.DemandIO()
@@ -313,7 +298,7 @@ func (z *Decoupled) ResetCosts() {
 	z.costs = Costs{}
 	z.ex.Reset()
 	z.failureHits = 0
-	z.tlb.resetCounters()
+	z.tlb.ResetCounters()
 }
 
 // EnableExplain implements Explainer.
@@ -334,7 +319,7 @@ func (z *Decoupled) ExplainGauges() (explain.Gauges, bool) {
 	g := occupancyGauges(z.scheme.Resident(), z.params.P)
 	g.DeltaTarget = z.params.Delta
 	g.CoveragePages = uint64(z.params.HMax)
-	g.TLBReachPages = z.tlb.reach(uint64(z.params.HMax))
+	g.TLBReachPages = z.tlb.Reach(uint64(z.params.HMax))
 	if la, ok := z.scheme.Allocator().(interface{ LoadHistogram() []int }); ok && z.params.NumBuckets > 0 {
 		hist := la.LoadHistogram()
 		var balls uint64

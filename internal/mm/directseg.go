@@ -24,7 +24,10 @@ type DirectSegmentConfig struct {
 	// SegmentPages — the rest backs conventional paging.
 	TLBEntries int
 	RAMPages   uint64
-	Seed       uint64
+	// VirtualPages V bounds the paged pages the TLB and RAM key on, 0
+	// when unknown (see policy.NewKeyed).
+	VirtualPages uint64
+	Seed         uint64
 }
 
 func (c *DirectSegmentConfig) validate() error {
@@ -64,11 +67,11 @@ func NewDirectSegment(cfg DirectSegmentConfig) (*DirectSegment, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t, err := tlb.New(cfg.TLBEntries, policy.LRUKind, cfg.Seed)
+	t, err := tlb.New(cfg.TLBEntries, cfg.VirtualPages, policy.LRUKind, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ram, err := policy.New(policy.LRUKind, int(cfg.RAMPages-cfg.SegmentPages), cfg.Seed+1)
+	ram, err := policy.NewKeyed(policy.LRUKind, int(cfg.RAMPages-cfg.SegmentPages), cfg.VirtualPages, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +109,10 @@ func (d *DirectSegment) Access(v uint64) {
 			d.ex.Evict()
 		}
 	}
-	if _, ok := d.tlb.Lookup(v); !ok {
+	if !d.tlb.Lookup(v) {
 		d.costs.TLBMisses++
 		d.ex.TLBMiss(v)
-		d.tlb.Insert(v, tlb.Entry{})
+		d.tlb.Insert(v)
 	}
 }
 

@@ -21,8 +21,8 @@ type HugePageConfig struct {
 	// VirtualPages V: the address space in base pages, 0 when unknown.
 	// The merged LRU path pre-sizes its recency stack for ⌈V/h⌉ huge
 	// pages (with V unknown the stack grows on demand); when that bound
-	// exceeds policy.RecencyStackKeys the simulator takes the
-	// two-structure path instead.
+	// exceeds policy.KeyIndexBound the simulator takes the two-structure
+	// path instead, on the map-backed LRU.
 	VirtualPages uint64
 	// TLBPolicy and RAMPolicy; the paper uses LRU for both.
 	TLBPolicy policy.Kind
@@ -100,15 +100,15 @@ func NewHugePage(cfg HugePageConfig) (*HugePage, error) {
 		hugePages++
 	}
 	if cfg.TLBPolicy == policy.LRUKind && cfg.RAMPolicy == policy.LRUKind && !cfg.disableMergedLRU &&
-		hugePages <= policy.RecencyStackKeys {
+		hugePages <= policy.KeyIndexBound {
 		m.stack = policy.NewRecencyStack(cfg.TLBEntries, frames, hugePages)
 		return m, nil
 	}
-	t, err := tlb.New(cfg.TLBEntries, cfg.TLBPolicy, cfg.Seed)
+	t, err := tlb.New(cfg.TLBEntries, hugePages, cfg.TLBPolicy, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ram, err := policy.New(cfg.RAMPolicy, frames, cfg.Seed+1)
+	ram, err := policy.NewKeyed(cfg.RAMPolicy, frames, hugePages, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -156,10 +156,10 @@ func (m *HugePage) Access(v uint64) {
 	}
 
 	// TLB: one entry covers the whole huge page.
-	if _, ok := m.tlb.Lookup(u); !ok {
+	if !m.tlb.Lookup(u) {
 		m.costs.TLBMisses++
 		m.ex.TLBMiss(u)
-		m.tlb.Insert(u, tlb.Entry{Phys: u})
+		m.tlb.Insert(u)
 	}
 }
 

@@ -92,8 +92,8 @@ func TestHugePageKeyIndexBound(t *testing.T) {
 	}{
 		{"fig1 VA at h=1", 1, 64 << 30 / 4096, true},
 		{"unknown VA", 64, 0, true},
-		{"past bound at h=1", 1, policy.RecencyStackKeys + 1, false},
-		{"past bound at h=64", 64, policy.RecencyStackKeys*64 + 1, false},
+		{"past bound at h=1", 1, policy.KeyIndexBound + 1, false},
+		{"past bound at h=64", 64, policy.KeyIndexBound*64 + 1, false},
 		{"replayed page numbers", 8, 1 << 40, false},
 	}
 	for _, c := range cases {

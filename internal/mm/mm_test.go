@@ -193,11 +193,11 @@ func TestDecoupledMatchesSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := NewTLBOnly(uint64(z.Params().HMax), cfg.TLBEntries, policy.LRUKind, 7)
+	x, err := NewTLBOnly(uint64(z.Params().HMax), cfg.TLBEntries, cfg.VirtualPages, policy.LRUKind, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := NewRAMOnly(z.Params().MaxResident, policy.LRUKind, 7)
+	y, err := NewRAMOnly(z.Params().MaxResident, cfg.VirtualPages, policy.LRUKind, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,16 +307,16 @@ func TestDecoupledConfigErrors(t *testing.T) {
 }
 
 func TestSidesErrors(t *testing.T) {
-	if _, err := NewTLBOnly(0, 4, policy.LRUKind, 1); err == nil {
+	if _, err := NewTLBOnly(0, 4, 0, policy.LRUKind, 1); err == nil {
 		t.Error("hmax=0 should error")
 	}
-	if _, err := NewTLBOnly(4, 4, "bogus", 1); err == nil {
+	if _, err := NewTLBOnly(4, 4, 0, "bogus", 1); err == nil {
 		t.Error("bad policy should error")
 	}
-	if _, err := NewRAMOnly(0, policy.LRUKind, 1); err == nil {
+	if _, err := NewRAMOnly(0, 0, policy.LRUKind, 1); err == nil {
 		t.Error("capacity=0 should error")
 	}
-	if _, err := NewRAMOnly(4, "bogus", 1); err == nil {
+	if _, err := NewRAMOnly(4, 0, "bogus", 1); err == nil {
 		t.Error("bad policy should error")
 	}
 }
@@ -327,9 +327,9 @@ func TestResetCosts(t *testing.T) {
 	algos = append(algos, hp)
 	z, _ := NewDecoupled(DecoupledConfig{RAMPages: 1 << 12, VirtualPages: 1 << 16, TLBEntries: 8, Seed: 1})
 	algos = append(algos, z)
-	x, _ := NewTLBOnly(4, 4, policy.LRUKind, 1)
+	x, _ := NewTLBOnly(4, 4, 0, policy.LRUKind, 1)
 	algos = append(algos, x)
-	y, _ := NewRAMOnly(64, policy.LRUKind, 1)
+	y, _ := NewRAMOnly(64, 0, policy.LRUKind, 1)
 	algos = append(algos, y)
 	for _, a := range algos {
 		for v := uint64(0); v < 100; v++ {

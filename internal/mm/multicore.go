@@ -64,7 +64,7 @@ func NewMultiCore(cfg MultiCoreConfig) (*MultiCore, error) {
 	}
 	m := &MultiCore{cfg: cfg, perCore: make([]Costs, cfg.Cores)}
 	for i := 0; i < cfg.Cores; i++ {
-		t, err := tlb.New(cfg.TLBEntriesEach, policy.LRUKind, cfg.Seed+uint64(i))
+		t, err := tlb.New(cfg.TLBEntriesEach, 0, policy.LRUKind, cfg.Seed+uint64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -107,11 +107,11 @@ func (m *MultiCore) AccessOn(core int, v uint64) {
 		}
 	}
 
-	if _, ok := m.tlbs[core].Lookup(u); !ok {
+	if !m.tlbs[core].Lookup(u) {
 		m.costs.TLBMisses++
 		m.perCore[core].TLBMisses++
 		m.ex.TLBMiss(m.multiCoreKey(u, core))
-		m.tlbs[core].Insert(u, tlb.Entry{})
+		m.tlbs[core].Insert(u)
 	}
 }
 

@@ -25,7 +25,10 @@ type NestedConfig struct {
 	HostTLBEntries  int
 	// RAMPages sizes host physical memory.
 	RAMPages uint64
-	Seed     uint64
+	// VirtualPages V bounds the guest pages, 0 when unknown; it sizes the
+	// TLBs and host RAM for their keys (see policy.NewKeyed).
+	VirtualPages uint64
+	Seed         uint64
 }
 
 func (c *NestedConfig) validate() error {
@@ -77,26 +80,40 @@ func NewNested(cfg NestedConfig) (*Nested, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	g, err := tlb.New(cfg.GuestTLBEntries, policy.LRUKind, cfg.Seed)
+	var guestKeys, hostKeys uint64 // 0 (grow on demand) when V is unknown
+	if v := cfg.VirtualPages; v > 0 {
+		guestKeys = v/cfg.GuestHugePageSize + 1
+		hostKeys = 2 * (v/cfg.HostHugePageSize + 1) // tagged, see hostReference
+	}
+	g, err := tlb.New(cfg.GuestTLBEntries, guestKeys, policy.LRUKind, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	h, err := tlb.New(cfg.HostTLBEntries, policy.LRUKind, cfg.Seed+1)
+	h, err := tlb.New(cfg.HostTLBEntries, hostKeys, policy.LRUKind, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
 	frames := int(cfg.RAMPages / cfg.HostHugePageSize)
-	ram, err := policy.New(policy.LRUKind, frames, cfg.Seed+2)
+	ram, err := policy.NewKeyed(policy.LRUKind, frames, hostKeys, cfg.Seed+2)
 	if err != nil {
 		return nil, err
 	}
 	return &Nested{cfg: cfg, guestTLB: g, hostTLB: h, hostRAM: ram}, nil
 }
 
-// hostReference translates one guest-physical page through the host TLB
-// and host RAM, accruing costs.
-func (n *Nested) hostReference(gpa uint64) {
-	hu := gpa / n.cfg.HostHugePageSize
+// Host keys tag what a guest-physical page holds in their low bit: 0 for
+// data, 1 for the guest page tables the nested walk reads. The two kinds
+// never share a host huge page, and both key ranges stay dense, so the
+// host TLB and RAM run on the key-indexed LRU.
+const (
+	hostData = 0
+	hostWalk = 1
+)
+
+// hostReference translates one guest-physical page of the given kind
+// through the host TLB and host RAM, accruing costs.
+func (n *Nested) hostReference(gpa, kind uint64) {
+	hu := gpa/n.cfg.HostHugePageSize<<1 | kind
 	if hit, victim := n.hostRAM.Access(hu); !hit {
 		n.costs.IOs += n.cfg.HostHugePageSize
 		n.ex.DemandIO()
@@ -105,10 +122,10 @@ func (n *Nested) hostReference(gpa uint64) {
 			n.ex.Evict()
 		}
 	}
-	if _, ok := n.hostTLB.Lookup(hu); !ok {
+	if !n.hostTLB.Lookup(hu) {
 		n.costs.TLBMisses++
 		n.ex.TLBMiss(nestedHostKey(hu))
-		n.hostTLB.Insert(hu, tlb.Entry{})
+		n.hostTLB.Insert(hu)
 	}
 }
 
@@ -117,19 +134,18 @@ func (n *Nested) hostReference(gpa uint64) {
 func (n *Nested) Access(v uint64) {
 	n.costs.Accesses++
 	gu := v / n.cfg.GuestHugePageSize
-	if _, ok := n.guestTLB.Lookup(gu); !ok {
+	if !n.guestTLB.Lookup(gu) {
 		n.costs.TLBMisses++
 		n.ex.TLBMiss(nestedGuestKey(gu))
-		n.guestTLB.Insert(gu, tlb.Entry{})
+		n.guestTLB.Insert(gu)
 		// The guest page-table walk reads guest-physical memory: one
-		// extra host reference (to the guest's page-table page, which we
-		// place alongside the data region).
-		walkPage := v/512 + 1<<62 // page-table pages live in their own region
+		// extra host reference, to the guest's page-table page (one per
+		// 512 data pages, in its own key range beside the data).
 		n.nestedWalkRefs++
 		n.ex.NestedWalk()
-		n.hostReference(walkPage)
+		n.hostReference(v/512, hostWalk)
 	}
-	n.hostReference(v)
+	n.hostReference(v, hostData)
 }
 
 // AccessBatch implements Algorithm.

@@ -48,11 +48,11 @@ func runWarmChunks(ctx context.Context, a Algorithm, warm, meas []uint64, every 
 	return a.Costs(), err
 }
 
-// TestRunSampledMatchesRun pins the telemetry guarantee at the mm
+// TestRunPhaseChunksCtxSampledMatchesRun pins the telemetry guarantee at the mm
 // layer: feeding the request slice in sampled chunks leaves every
 // algorithm's final counters identical to a single-batch Run, for every
 // Algorithm implementation, with one sample per chunk.
-func TestRunSampledMatchesRun(t *testing.T) {
+func TestRunPhaseChunksCtxSampledMatchesRun(t *testing.T) {
 	reqs := sampleReqs(30000)
 	plain := allAlgorithms(t, 7)
 	sampled := allAlgorithms(t, 7)
@@ -81,9 +81,9 @@ func TestRunSampledMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunWarmSampledMatchesRunWarm is the two-phase variant: identical
+// TestRunPhaseChunksCtxSampledMatchesRunWarm is the two-phase variant: identical
 // counters to RunWarm, and samples labeled with both phases in order.
-func TestRunWarmSampledMatchesRunWarm(t *testing.T) {
+func TestRunPhaseChunksCtxSampledMatchesRunWarm(t *testing.T) {
 	reqs := sampleReqs(40000)
 	warm, meas := reqs[:20000], reqs[20000:]
 	plain := allAlgorithms(t, 3)
@@ -121,10 +121,10 @@ func TestRunWarmSampledMatchesRunWarm(t *testing.T) {
 	}
 }
 
-// TestRunSampledNilSamplerIsRun checks the degenerate settings: a nil
+// TestRunPhaseChunksCtxNilSamplerIsRun checks the degenerate settings: a nil
 // sampler still services every chunk, and every <= 0 runs the window as
 // one chunk with exactly one sample.
-func TestRunSampledNilSamplerIsRun(t *testing.T) {
+func TestRunPhaseChunksCtxNilSamplerIsRun(t *testing.T) {
 	reqs := sampleReqs(10000)
 	want := Run(allAlgorithms(t, 1)[0], reqs)
 	a := allAlgorithms(t, 1)[0]

@@ -25,12 +25,13 @@ type TLBOnly struct {
 var _ Algorithm = (*TLBOnly)(nil)
 
 // NewTLBOnly builds X with the given huge-page size, TLB entry count and
-// replacement policy.
-func NewTLBOnly(hmax uint64, entries int, kind policy.Kind, seed uint64) (*TLBOnly, error) {
+// replacement policy, over an address space of virtualPages base pages
+// (0 when unknown).
+func NewTLBOnly(hmax uint64, entries int, virtualPages uint64, kind policy.Kind, seed uint64) (*TLBOnly, error) {
 	if hmax == 0 {
 		return nil, fmt.Errorf("mm: hmax must be positive")
 	}
-	p, err := policy.New(kind, entries, seed)
+	p, err := policy.NewKeyed(kind, entries, virtualPages/hmax+1, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -87,12 +88,13 @@ type RAMOnly struct {
 
 var _ Algorithm = (*RAMOnly)(nil)
 
-// NewRAMOnly builds Y with the given page capacity and policy.
-func NewRAMOnly(capacity uint64, kind policy.Kind, seed uint64) (*RAMOnly, error) {
+// NewRAMOnly builds Y with the given page capacity and policy, over an
+// address space of virtualPages base pages (0 when unknown).
+func NewRAMOnly(capacity, virtualPages uint64, kind policy.Kind, seed uint64) (*RAMOnly, error) {
 	if capacity == 0 {
 		return nil, fmt.Errorf("mm: capacity must be positive")
 	}
-	p, err := policy.New(kind, int(capacity), seed)
+	p, err := policy.NewKeyed(kind, int(capacity), virtualPages, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,150 +1,88 @@
 package policy
 
-import (
-	"math"
-
-	"addrxlat/internal/dense"
-)
-
 // DenseLRU is an LRU cache specialized for the simulator's hot paths:
-// eviction order identical to LRU, but built on flat arrays instead of a
-// hash map and per-key heap nodes. Slots are preallocated up front and
-// linked into an intrusive doubly-linked recency list over slot *indices*;
-// the key→slot index is a dense flat array (page numbers are small and
-// dense). Steady-state Access performs zero allocations.
+// eviction order identical to LRU, but built on one flat node array
+// indexed by key instead of a hash map and per-key heap nodes. Node key+1
+// holds key's recency links and node 0 is the list head, so an access
+// reads its key's node directly and an eviction reads the victim's key off
+// the tail's index. Steady-state Access performs zero allocations.
 //
-// DenseLRU assumes its keys are densely numbered (page or region numbers
-// bounded by the machine size). For arbitrary sparse keys use LRU, whose
-// hash map does not grow with the key bound.
+// Keys must be densely numbered (page or region numbers bounded by the
+// machine size) and below KeyIndexBound; the array is pre-sized from the
+// caller's key bound and grows by doubling past it. For sparse keys use
+// LRU, whose hash map does not grow with the key bound.
 type DenseLRU struct {
-	capacity int
-	keys     []uint64            // per-slot cached key
-	nodes    []lruNode           // intrusive recency list over slots; index `capacity` is the sentinel head
-	slot     *dense.Table[int32] // key -> slot, -1 when absent
-	size     int
-	freeHead int32 // singly-linked free list threaded through next
+	capacity, size int
+	nodes          []lruNode // node key+1 is key's; node 0 is the head
 }
-
-// lruNode packs a slot's recency links into one 8-byte node, so a relink
-// touches one cache line per slot instead of one per link array, as
-// RecencyStack's nodes do.
-type lruNode struct{ prev, next int32 }
 
 var _ Policy = (*DenseLRU)(nil)
 
 // NewDenseLRU returns a dense LRU cache with the given capacity (> 0).
-// keyHint, if positive, pre-sizes the key index for keys [0, keyHint).
+// keyHint, if positive, pre-sizes the node array for keys [0, keyHint).
 func NewDenseLRU(capacity int, keyHint uint64) *DenseLRU {
 	if capacity <= 0 {
 		panic("policy: DenseLRU capacity must be positive")
 	}
-	if capacity >= math.MaxInt32 {
-		panic("policy: DenseLRU capacity exceeds int32 slot space")
-	}
-	l := &DenseLRU{
-		capacity: capacity,
-		keys:     make([]uint64, capacity),
-		nodes:    make([]lruNode, capacity+1),
-		slot:     dense.NewTable[int32](-1, int(keyHint)),
-	}
-	head := int32(capacity)
-	l.nodes[head] = lruNode{prev: head, next: head}
-	// Thread every slot onto the free list.
-	for s := 0; s < capacity-1; s++ {
-		l.nodes[s].next = int32(s + 1)
-	}
-	l.nodes[capacity-1].next = -1
-	l.freeHead = 0
-	return l
-}
-
-func (l *DenseLRU) head() int32 { return int32(l.capacity) }
-
-func (l *DenseLRU) unlink(s int32) {
-	n := l.nodes[s]
-	l.nodes[n.prev].next = n.next
-	l.nodes[n.next].prev = n.prev
-}
-
-func (l *DenseLRU) pushFront(s int32) {
-	h := l.head()
-	first := l.nodes[h].next
-	l.nodes[s] = lruNode{prev: h, next: first}
-	l.nodes[first].prev = s
-	l.nodes[h].next = s
-}
-
-// AccessSlot requests key and additionally returns the slot now holding it,
-// so callers storing per-entry values (the TLB) can index a parallel array
-// without a second key lookup. On an eviction the victim's slot is reused
-// for key, so the caller's value array needs no compaction.
-func (l *DenseLRU) AccessSlot(key uint64) (slot int32, hit bool, victim uint64) {
-	if s := l.slot.At(key); s >= 0 {
-		if l.nodes[l.head()].next != s { // already at front: skip the relink
-			l.unlink(s)
-			l.pushFront(s)
-		}
-		return s, true, NoEviction
-	}
-	victim = NoEviction
-	var s int32
-	if l.size >= l.capacity {
-		s = l.nodes[l.head()].prev // least recent
-		l.unlink(s)
-		victim = l.keys[s]
-		l.slot.Delete(victim)
-	} else {
-		s = l.freeHead
-		l.freeHead = l.nodes[s].next
-		l.size++
-	}
-	l.keys[s] = key
-	l.slot.Set(key, s)
-	l.pushFront(s)
-	return s, false, victim
-}
-
-// Touch refreshes the recency of an occupied slot, exactly as Access of
-// its key would on a hit — but without re-probing the key index. Batch
-// kernels that already hold the slot from SlotOf use it to halve the
-// table lookups of a probe-then-refresh pair. s must be a live slot.
-func (l *DenseLRU) Touch(s int32) {
-	if l.nodes[l.head()].next != s {
-		l.unlink(s)
-		l.pushFront(s)
-	}
+	return &DenseLRU{capacity: capacity, nodes: newNodes(1, keyHint)}
 }
 
 // Access implements Policy.
 func (l *DenseLRU) Access(key uint64) (hit bool, victim uint64) {
-	_, hit, victim = l.AccessSlot(key)
-	return hit, victim
+	nodes := l.nodes
+	if key >= uint64(len(nodes)-1) {
+		nodes = growNodes(nodes, 1, key)
+		l.nodes = nodes
+	}
+	s := uint32(key) + 1
+	if nodes[s].prev&nodePresent != 0 {
+		if nodes[0].next != s { // already at front: skip the relink
+			unlink(nodes, s)
+			linkFront(nodes, 0, s, nodePresent)
+		}
+		return true, NoEviction
+	}
+	victim = NoEviction
+	if l.size == l.capacity {
+		victim = uint64(dropTail(nodes, 0) - 1)
+	} else {
+		l.size++
+	}
+	linkFront(nodes, 0, s, nodePresent)
+	return false, victim
 }
 
-// SlotOf returns the slot currently holding key, or -1. Recency and
-// counters are untouched.
-func (l *DenseLRU) SlotOf(key uint64) int32 { return l.slot.At(key) }
+// Touch refreshes key's recency if it is cached, exactly as Access of a
+// resident key would, and reports whether it was. A miss changes nothing:
+// the TLB's lookup and the batch kernels' resident-hit paths use it to
+// probe and refresh in one step, leaving the fill to the caller.
+func (l *DenseLRU) Touch(key uint64) bool {
+	if !l.Contains(key) {
+		return false
+	}
+	if s := uint32(key) + 1; l.nodes[0].next != s {
+		unlink(l.nodes, s)
+		linkFront(l.nodes, 0, s, nodePresent)
+	}
+	return true
+}
 
 // Contains implements Policy.
-func (l *DenseLRU) Contains(key uint64) bool { return l.slot.At(key) >= 0 }
-
-// RemoveSlot evicts key immediately, returning the slot it occupied, or
-// -1 if it was not cached.
-func (l *DenseLRU) RemoveSlot(key uint64) int32 {
-	s := l.slot.At(key)
-	if s < 0 {
-		return -1
-	}
-	l.unlink(s)
-	l.slot.Delete(key)
-	l.nodes[s].next = l.freeHead
-	l.freeHead = s
-	l.size--
-	return s
+func (l *DenseLRU) Contains(key uint64) bool {
+	return key < uint64(len(l.nodes)-1) && l.nodes[key+1].prev&nodePresent != 0
 }
 
 // Remove implements Policy.
-func (l *DenseLRU) Remove(key uint64) bool { return l.RemoveSlot(key) >= 0 }
+func (l *DenseLRU) Remove(key uint64) bool {
+	if !l.Contains(key) {
+		return false
+	}
+	s := uint32(key) + 1
+	unlink(l.nodes, s)
+	l.nodes[s].prev = 0
+	l.size--
+	return true
+}
 
 // Len implements Policy.
 func (l *DenseLRU) Len() int { return l.size }
@@ -162,19 +100,16 @@ func (l *DenseLRU) EvictLRU() (key uint64, ok bool) {
 	if l.size == 0 {
 		return 0, false
 	}
-	s := l.nodes[l.head()].prev
-	key = l.keys[s]
-	l.RemoveSlot(key)
-	return key, true
+	l.size--
+	return uint64(dropTail(l.nodes, 0) - 1), true
 }
 
 // ScanLRU calls fn for each cached key from least to most recently used,
 // stopping early when fn returns false. fn must not mutate the cache.
 // Allocation-free, unlike Keys.
 func (l *DenseLRU) ScanLRU(fn func(key uint64) bool) {
-	h := l.head()
-	for s := l.nodes[h].prev; s != h; s = l.nodes[s].prev {
-		if !fn(l.keys[s]) {
+	for s := l.nodes[0].prev; s != 0; s = l.nodes[s].prev & nodeIndex {
+		if !fn(uint64(s - 1)) {
 			return
 		}
 	}
@@ -184,9 +119,8 @@ func (l *DenseLRU) ScanLRU(fn func(key uint64) bool) {
 // for tests and debugging; O(n).
 func (l *DenseLRU) Keys() []uint64 {
 	keys := make([]uint64, 0, l.size)
-	h := l.head()
-	for s := l.nodes[h].next; s != h; s = l.nodes[s].next {
-		keys = append(keys, l.keys[s])
+	for s := l.nodes[0].next; s != 0; s = l.nodes[s].next {
+		keys = append(keys, uint64(s-1))
 	}
 	return keys
 }

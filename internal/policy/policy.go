@@ -63,10 +63,19 @@ const (
 	MarkingKind Kind = "marking"
 )
 
-// New constructs a policy of the given kind with the given capacity.
-// seed is used only by randomized policies. It returns an error for an
-// unknown kind or non-positive capacity.
+// New constructs a policy of the given kind with the given capacity, for
+// dense keys of no known bound. seed is used only by randomized policies.
+// It returns an error for an unknown kind or non-positive capacity.
 func New(kind Kind, capacity int, seed uint64) (Policy, error) {
+	return NewKeyed(kind, capacity, 0, seed)
+}
+
+// NewKeyed is New for callers that know their keys lie in [0, keyBound),
+// keyBound 0 when the keys are dense but their bound is unknown. LRU runs
+// on the key-indexed DenseLRU, pre-sized for the bound, unless the bound
+// is past KeyIndexBound (replayed page numbers, say): those sparse keys
+// get the map-backed LRU.
+func NewKeyed(kind Kind, capacity int, keyBound, seed uint64) (Policy, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("policy: capacity must be positive, got %d", capacity)
 	}
@@ -74,7 +83,10 @@ func New(kind Kind, capacity int, seed uint64) (Policy, error) {
 	case LRUKind:
 		// DenseLRU: identical eviction order to LRU (differentially
 		// tested) on flat arrays — the hot default gets the fast path.
-		return NewDenseLRU(capacity, 0), nil
+		if keyBound > KeyIndexBound {
+			return NewLRU(capacity), nil
+		}
+		return NewDenseLRU(capacity, keyBound), nil
 	case FIFOKind:
 		return NewFIFO(capacity), nil
 	case ClockKind:

@@ -1,24 +1,11 @@
 package policy
 
-import "fmt"
-
-// rsNode is one key's recency-list state in 8 bytes: both links, with the
-// key's zone and presence flags in the top three bits of prev. Node key+1
-// belongs to key and node 0 is the head sentinel, so a relink touches only
-// the nodes it names: there is no key→slot lookup before the list work,
-// and no key array to read back on eviction.
-type rsNode struct{ prev, next uint32 }
-
+// RecencyStack's zone flags sit beside nodePresent in the top bits of a
+// node's prev link.
 const (
-	rsZone1   = 1 << 31 // member of zone1
-	rsZone2   = 1 << 30 // member of zone2
-	rsPresent = 1 << 29 // in the recency list
-	rsFlags   = rsZone1 | rsZone2 | rsPresent
-	rsIndex   = rsPresent - 1 // the low 29 bits of prev: a node index
-
-	// RecencyStackKeys bounds a RecencyStack's keys: node key+1 must fit
-	// the 29-bit link index, so keys lie in [0, RecencyStackKeys).
-	RecencyStackKeys = rsIndex
+	rsZone1 = 1 << 31 // member of zone1
+	rsZone2 = 1 << 30 // member of zone2
+	rsFlags = rsZone1 | rsZone2 | nodePresent
 )
 
 // RecencyStack maintains one exact-LRU recency order over a key stream and
@@ -34,14 +21,15 @@ const (
 //
 // Hit/miss answers are bit-identical to running two independent LRU caches;
 // TestRecencyStackMatchesTwoLRUs pins this. Keys index the node array
-// directly, so they must be densely numbered and below RecencyStackKeys.
+// directly, as DenseLRU's do, so they must be densely numbered and below
+// KeyIndexBound.
 type RecencyStack struct {
 	cap1, cap2 int // zone capacities
 	capMax     int // list capacity = max(cap1, cap2)
 	size       int
 
-	nodes  []rsNode // node key+1 is key's; node 0 is the head sentinel
-	b1, b2 uint32   // boundary nodes: each zone's least recent member
+	nodes  []lruNode // node key+1 is key's; node 0 is the head sentinel
+	b1, b2 uint32    // boundary nodes: each zone's least recent member
 }
 
 // NewRecencyStack builds a stack tracking two zone capacities (both > 0).
@@ -51,21 +39,16 @@ func NewRecencyStack(cap1, cap2 int, keyHint uint64) *RecencyStack {
 	if cap1 <= 0 || cap2 <= 0 {
 		panic("policy: RecencyStack capacities must be positive")
 	}
-	if keyHint > RecencyStackKeys {
-		panic(fmt.Sprintf("policy: RecencyStack key hint %d exceeds the %d-key node index", keyHint, RecencyStackKeys))
-	}
-	return &RecencyStack{cap1: cap1, cap2: cap2, capMax: max(cap1, cap2), nodes: make([]rsNode, keyHint+1)}
+	return &RecencyStack{cap1: cap1, cap2: cap2, capMax: max(cap1, cap2), nodes: newNodes(1, keyHint)}
 }
 
-// grow extends the node array to cover key, at least doubling it.
-func (r *RecencyStack) grow(key uint64) []rsNode {
-	if key >= RecencyStackKeys {
-		panic(fmt.Sprintf("policy: RecencyStack key %d is past the %d-key node index", key, RecencyStackKeys))
-	}
-	nodes := make([]rsNode, min(max(2*uint64(len(r.nodes)), key+2), uint64(RecencyStackKeys+1)))
-	copy(nodes, r.nodes)
-	r.nodes = nodes
-	return nodes
+// grow extends the node array to cover key. It stays out of line so the
+// cold growth path adds no register pressure to AccessShifted's loop.
+//
+//go:noinline
+func (r *RecencyStack) grow(key uint64) []lruNode {
+	r.nodes = growNodes(r.nodes, 1, key)
+	return r.nodes
 }
 
 // Access records a request for key and reports whether it was a hit in
@@ -103,9 +86,12 @@ func (r *RecencyStack) AccessShifted(vs []uint64, shift uint) (miss1, miss2 uint
 		if s == nodes[0].next {
 			continue // repeat of the most recent key: hits both zones; the relink below assumes s is not the MRU
 		}
+		// The relinks below are unlink, dropTail and linkFront written
+		// out: they reuse the prev word already loaded into x and ft,
+		// which the helpers would load again on this hot loop.
 		x := nodes[s].prev
-		if x&rsPresent != 0 {
-			p, n := x&rsIndex, nodes[s].next
+		if x&nodePresent != 0 {
+			p, n := x&nodeIndex, nodes[s].next
 			nodes[p].next = n
 			nodes[n].prev = nodes[n].prev&rsFlags | p
 		} else if size == capMax {
@@ -113,7 +99,7 @@ func (r *RecencyStack) AccessShifted(vs []uint64, shift uint) (miss1, miss2 uint
 			// zone of capacity capMax) now ends one step toward the front.
 			t := nodes[0].prev
 			ft := nodes[t].prev
-			p := ft & rsIndex
+			p := ft & nodeIndex
 			if ft&rsZone1 != 0 {
 				b1 = p
 			}
@@ -136,13 +122,13 @@ func (r *RecencyStack) AccessShifted(vs []uint64, shift uint) (miss1, miss2 uint
 				if cap1 == 1 {
 					b1 = s
 				} else {
-					b1 = nodes[b1].prev & rsIndex
+					b1 = nodes[b1].prev & nodeIndex
 				}
 			} else if size == 0 {
 				b1 = s
 			}
 		} else if s == b1 {
-			b1 = x & rsIndex
+			b1 = x & nodeIndex
 		}
 		if x&rsZone2 == 0 {
 			miss2++
@@ -151,19 +137,19 @@ func (r *RecencyStack) AccessShifted(vs []uint64, shift uint) (miss1, miss2 uint
 				if cap2 == 1 {
 					b2 = s
 				} else {
-					b2 = nodes[b2].prev & rsIndex
+					b2 = nodes[b2].prev & nodeIndex
 				}
 			} else if size == 0 {
 				b2 = s
 			}
 		} else if s == b2 {
-			b2 = x & rsIndex
+			b2 = x & nodeIndex
 		}
-		if x&rsPresent == 0 {
+		if x&nodePresent == 0 {
 			size++
 		}
 		f := nodes[0].next
-		nodes[s] = rsNode{prev: rsFlags, next: f}
+		nodes[s] = lruNode{prev: rsFlags, next: f}
 		nodes[f].prev = nodes[f].prev&rsFlags | s
 		nodes[0].next = s
 	}

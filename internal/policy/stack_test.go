@@ -8,11 +8,12 @@ import (
 )
 
 // stackOracle replays a RecencyStack's requests on two standalone
-// DenseLRUs of the zone capacities. It shares no code with the stack.
-type stackOracle struct{ l1, l2 *DenseLRU }
+// map-backed LRUs of the zone capacities. It shares no code with the
+// stack, whose node layout and link helpers DenseLRU also uses.
+type stackOracle struct{ l1, l2 *LRU }
 
 func newStackOracle(cap1, cap2 int) stackOracle {
-	return stackOracle{NewDenseLRU(cap1, 0), NewDenseLRU(cap2, 0)}
+	return stackOracle{NewLRU(cap1), NewLRU(cap2)}
 }
 
 // access requests key from both caches and reports their hits.
@@ -240,19 +241,19 @@ func TestRecencyStackKeyBounds(t *testing.T) {
 		}()
 		fn()
 	}
-	for _, k := range []uint64{RecencyStackKeys, RecencyStackKeys + 1, 1 << 32, math.MaxUint64} {
+	for _, k := range []uint64{KeyIndexBound, KeyIndexBound + 1, 1 << 32, math.MaxUint64} {
 		mustPanic("Access past the index", func() { NewRecencyStack(1, 1, 0).Access(k) })
 	}
 	mustPanic("AccessShifted past the index", func() {
-		NewRecencyStack(1, 1, 0).AccessShifted([]uint64{0, RecencyStackKeys << 4}, 4)
+		NewRecencyStack(1, 1, 0).AccessShifted([]uint64{0, KeyIndexBound << 4}, 4)
 	})
-	mustPanic("key hint past the index", func() { NewRecencyStack(1, 1, RecencyStackKeys+1) })
+	mustPanic("key hint past the index", func() { NewRecencyStack(1, 1, KeyIndexBound+1) })
 }
 
 // FuzzRecencyStack serves a fuzzed request stream through a stack of
 // fuzzed capacities (1 through 16, either zone the larger) over a small
 // key range, in fuzzed chunk splits and shifts, checking every chunk's
-// misses and the zone occupancy against two standalone DenseLRUs.
+// misses and the zone occupancy against two standalone map-backed LRUs.
 func FuzzRecencyStack(f *testing.F) {
 	f.Add(byte(0), byte(0), []byte{0, 1, 0, 1, 2, 2, 2, 3})
 	f.Add(byte(1), byte(15), []byte{9, 1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 130, 140, 1})

@@ -27,24 +27,30 @@ func batchTrace(seed uint64, n int, shift uint) []uint64 {
 	return vs
 }
 
+// sparseKeys is a key bound past policy.KeyIndexBound: a TLB built with
+// it runs on the map-backed LRU, an oracle that shares no code with the
+// key-indexed flat path.
+const sparseKeys = policy.KeyIndexBound + 1
+
 // TestProbeFillMatchesScalar pins the columnar probe against its scalar
 // decomposition: over uneven chunks of a shared trace, ProbeFill must leave
 // hit/miss counters, occupancy, and cached keys identical to a per-element
-// LookupHit/Insert loop, and the packed miss list must be exactly the
-// scalar loop's miss sequence appended to the caller's slice.
+// Lookup/Insert loop on the map-backed TLB, and the packed miss list must
+// be exactly the scalar loop's miss sequence appended to the caller's
+// slice.
 func TestProbeFillMatchesScalar(t *testing.T) {
 	const shift, entries = 6, 64
 	for _, seed := range []uint64{1, 7, 42} {
-		col, err := New(entries, policy.LRUKind, seed)
+		col, err := New(entries, 0, policy.LRUKind, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := New(entries, policy.LRUKind, seed)
+		ref, err := New(entries, sparseKeys, policy.LRUKind, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !col.Flat() {
-			t.Fatal("LRU TLB expected to be flat")
+		if !col.Flat() || ref.Flat() {
+			t.Fatal("want a flat TLB checked against a map-backed one")
 		}
 		vs := batchTrace(seed, 30000, shift)
 		rng := hashutil.NewRNG(seed * 31)
@@ -61,8 +67,8 @@ func TestProbeFillMatchesScalar(t *testing.T) {
 			var want []uint64
 			for _, v := range chunk {
 				u := v >> shift
-				if !ref.LookupHit(u) {
-					ref.Insert(u, Entry{})
+				if !ref.Lookup(u) {
+					ref.Insert(u)
 					want = append(want, u)
 				}
 			}
@@ -91,15 +97,15 @@ func TestProbeFillMatchesScalar(t *testing.T) {
 }
 
 // TestLookupOrReserveMatchesScalar pins the fused single-probe kernel
-// against the LookupHit+Insert pair it replaces, including recency effects
-// (observed through later evictions).
+// against the Lookup+Insert pair it replaces, run on the map-backed TLB,
+// including recency effects (observed through later evictions).
 func TestLookupOrReserveMatchesScalar(t *testing.T) {
 	const entries = 16
-	fused, err := New(entries, policy.LRUKind, 5)
+	fused, err := New(entries, entries*3, policy.LRUKind, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(entries, policy.LRUKind, 5)
+	ref, err := New(entries, sparseKeys, policy.LRUKind, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +113,9 @@ func TestLookupOrReserveMatchesScalar(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		u := rng.Uint64n(entries * 3)
 		gotHit := fused.LookupOrReserve(u)
-		wantHit := ref.LookupHit(u)
+		wantHit := ref.Lookup(u)
 		if !wantHit {
-			ref.Insert(u, Entry{})
+			ref.Insert(u)
 		}
 		if gotHit != wantHit {
 			t.Fatalf("step %d key %d: fused hit=%v, scalar hit=%v", i, u, gotHit, wantHit)
@@ -129,7 +135,7 @@ func TestLookupOrReserveMatchesScalar(t *testing.T) {
 // TestProbeFillRequiresFlat pins the graceful refusal on a non-flat TLB:
 // no state or counter may change.
 func TestProbeFillRequiresFlat(t *testing.T) {
-	tl, err := New(16, policy.ARCKind, 1)
+	tl, err := New(16, 0, policy.ARCKind, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

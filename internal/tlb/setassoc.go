@@ -17,19 +17,27 @@ import (
 // theme — the RAM-allocation schemes of Section 4 are precisely
 // low-associativity caches, so the same structure appears on both sides
 // of the translation problem.
+//
+// For LRU over dense keys the sets share one key-indexed node array with a
+// head per set (policy.SetLRU): a key lives in exactly one set, so the
+// model costs one node per key rather than one key index per set. Other
+// policy kinds, and keys past policy.KeyIndexBound, run one generic
+// per-set TLB each.
 type SetAssociative struct {
 	sets    int
 	ways    int
 	indexer *hashutil.Family
-	subs    []*TLB
+	lru     *policy.SetLRU // LRU over dense keys
+	subs    []*TLB         // every other configuration: one TLB per set
 
 	hits   uint64
 	misses uint64
 }
 
-// NewSetAssociative builds a TLB of sets×ways entries. entries must be
-// divisible by ways. kind selects the per-set replacement policy.
-func NewSetAssociative(entries, ways int, kind policy.Kind, seed uint64) (*SetAssociative, error) {
+// NewSetAssociative builds a TLB of sets×ways entries over keys in
+// [0, keyBound) (0 when unknown, as for New). entries must be divisible
+// by ways. kind selects the per-set replacement policy.
+func NewSetAssociative(entries, ways int, keyBound uint64, kind policy.Kind, seed uint64) (*SetAssociative, error) {
 	if entries <= 0 || ways <= 0 {
 		return nil, fmt.Errorf("tlb: entries and ways must be positive")
 	}
@@ -42,8 +50,12 @@ func NewSetAssociative(entries, ways int, kind policy.Kind, seed uint64) (*SetAs
 		ways:    ways,
 		indexer: hashutil.NewFamily(seed, 1, uint64(sets)),
 	}
+	if kind == policy.LRUKind && keyBound <= policy.KeyIndexBound-uint64(sets) {
+		s.lru = policy.NewSetLRU(sets, ways, keyBound)
+		return s, nil
+	}
 	for i := 0; i < sets; i++ {
-		sub, err := New(ways, kind, seed+uint64(i)+1)
+		sub, err := New(ways, keyBound, kind, seed+uint64(i)+1)
 		if err != nil {
 			return nil, err
 		}
@@ -59,21 +71,14 @@ func (s *SetAssociative) setOf(key uint64) int {
 	return int(s.indexer.At(0, key))
 }
 
-// Lookup checks for key, updating recency and counters.
-func (s *SetAssociative) Lookup(key uint64) (Entry, bool) {
-	e, ok := s.subs[s.setOf(key)].Lookup(key)
-	if ok {
-		s.hits++
+// Lookup reports whether key is cached, updating recency and counters.
+func (s *SetAssociative) Lookup(key uint64) bool {
+	var ok bool
+	if s.lru != nil {
+		ok = s.lru.Touch(s.setOf(key), key)
 	} else {
-		s.misses++
+		ok = s.subs[s.setOf(key)].Lookup(key)
 	}
-	return e, ok
-}
-
-// LookupHit is Lookup without the entry copy, for hot paths that only
-// steer ε-costs.
-func (s *SetAssociative) LookupHit(key uint64) bool {
-	ok := s.subs[s.setOf(key)].LookupHit(key)
 	if ok {
 		s.hits++
 	} else {
@@ -83,17 +88,29 @@ func (s *SetAssociative) LookupHit(key uint64) bool {
 }
 
 // Insert caches key in its set, evicting within the set per the policy.
-func (s *SetAssociative) Insert(key uint64, e Entry) (victim uint64, evicted bool) {
-	return s.subs[s.setOf(key)].Insert(key, e)
+func (s *SetAssociative) Insert(key uint64) (victim uint64, evicted bool) {
+	if s.lru == nil {
+		return s.subs[s.setOf(key)].Insert(key)
+	}
+	if _, v := s.lru.Access(s.setOf(key), key); v != policy.NoEviction {
+		return v, true
+	}
+	return 0, false
 }
 
 // Invalidate drops key if present.
 func (s *SetAssociative) Invalidate(key uint64) bool {
+	if s.lru != nil {
+		return s.lru.Remove(s.setOf(key), key)
+	}
 	return s.subs[s.setOf(key)].Invalidate(key)
 }
 
 // Contains reports presence without side effects.
 func (s *SetAssociative) Contains(key uint64) bool {
+	if s.lru != nil {
+		return s.lru.Contains(key)
+	}
 	return s.subs[s.setOf(key)].Contains(key)
 }
 
@@ -111,6 +128,9 @@ func (s *SetAssociative) Ways() int { return s.ways }
 
 // Len returns the number of cached entries.
 func (s *SetAssociative) Len() int {
+	if s.lru != nil {
+		return s.lru.Len()
+	}
 	n := 0
 	for _, sub := range s.subs {
 		n += sub.Len()
@@ -124,10 +144,7 @@ func (s *SetAssociative) Reach(pagesPerEntry uint64) uint64 {
 	return uint64(s.Len()) * pagesPerEntry
 }
 
-// ResetCounters zeroes aggregate and per-set counters.
+// ResetCounters zeroes the aggregate counters.
 func (s *SetAssociative) ResetCounters() {
 	s.hits, s.misses = 0, 0
-	for _, sub := range s.subs {
-		sub.ResetCounters()
-	}
 }

@@ -1,200 +1,94 @@
-// Package tlb models a translation lookaside buffer: a small key-value
-// cache whose keys are virtual huge-page addresses and whose values are
-// w-bit encodings of physical locations.
+// Package tlb models a translation lookaside buffer: a small cache whose
+// keys are virtual huge-page addresses.
 //
 // Matching the paper's Section 6 simulator, the TLB is fully associative
 // with a pluggable replacement policy (LRU by default, 1536 entries — the
-// size of Cascade Lake's L2 data TLB). Unlike a plain cache, each entry
-// carries a value; for decoupled configurations the value is the w-bit
-// field array produced by the core Encoder, while for classical
-// configurations it is a single physical huge-page address.
+// size of Cascade Lake's L2 data TLB). In the paper's model an entry for
+// huge page u holds the w-bit value ψ(u) — a physical huge-page address
+// for classical schemes, the field array the core Encoder produces for
+// decoupled ones — and ψ updates while u is cached are free. So the entry
+// always holds the live value, and the cost model turns only on whether
+// u is cached: the simulator counts hits and misses and stores no value.
 package tlb
 
 import (
 	"fmt"
 
-	"addrxlat/internal/bitpack"
 	"addrxlat/internal/policy"
 )
 
-// Entry is a TLB entry's value: either a packed field array (decoupled
-// schemes) or a plain physical address (classical schemes). Exactly one is
-// meaningful per configuration.
-type Entry struct {
-	Fields *bitpack.FieldArray // decoupled: per-page location codes
-	Phys   uint64              // classical: physical huge-page address
-}
-
-// TLB is a fixed-capacity translation cache.
+// TLB is a fixed-capacity translation cache over huge-page keys.
 //
-// For the default LRU replacement policy the TLB runs on a flat slot
-// array: recency is an intrusive doubly-linked list over slot indices
-// (policy.DenseLRU) and values live in a parallel ℓ-sized Entry array
-// indexed by slot, so a steady-state access touches no hash table and
-// performs no allocation. Other policy kinds use the generic map-backed
-// path.
+// For the default LRU replacement policy over dense keys the TLB runs on
+// policy.DenseLRU, whose node array is indexed by key, so a steady-state
+// access touches no hash table and performs no allocation. Other policy
+// kinds, and keys past policy.KeyIndexBound, use the generic map-backed
+// policies.
 type TLB struct {
-	entries int
-
-	// Flat path (LRU kind only).
-	flat  *policy.DenseLRU
-	fvals []Entry // slot-indexed values, parallel to flat's slots
-
-	// Generic path (every other policy kind).
-	policy policy.Policy
-	values map[uint64]Entry
+	cache policy.Policy
+	flat  *policy.DenseLRU // cache, when it is the key-indexed LRU
 
 	hits   uint64
 	misses uint64
 }
 
 // New creates a TLB with the given entry count and replacement policy
-// kind. seed feeds randomized policies.
-func New(entries int, kind policy.Kind, seed uint64) (*TLB, error) {
+// kind over keys in [0, keyBound) — keyBound 0 when the keys are dense
+// but their bound is unknown, in which case the LRU node array grows on
+// demand. seed feeds randomized policies.
+func New(entries int, keyBound uint64, kind policy.Kind, seed uint64) (*TLB, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("tlb: entries must be positive, got %d", entries)
 	}
-	if kind == policy.LRUKind {
-		return &TLB{
-			entries: entries,
-			flat:    policy.NewDenseLRU(entries, 0),
-			fvals:   make([]Entry, entries),
-		}, nil
-	}
-	pol, err := policy.New(kind, entries, seed)
+	pol, err := policy.NewKeyed(kind, entries, keyBound, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &TLB{
-		entries: entries,
-		policy:  pol,
-		values:  make(map[uint64]Entry, entries),
-	}, nil
+	t := &TLB{cache: pol}
+	t.flat, _ = pol.(*policy.DenseLRU)
+	return t, nil
 }
 
-// Lookup checks whether huge page u is cached, updating recency state and
-// hit/miss counters. On a hit it returns the cached entry.
-func (t *TLB) Lookup(u uint64) (Entry, bool) {
+// Lookup reports whether huge page u is cached, refreshing its recency on
+// a hit and counting the hit or miss. A miss caches nothing; callers fill
+// with Insert.
+func (t *TLB) Lookup(u uint64) bool {
+	var hit bool
 	if t.flat != nil {
-		s := t.flat.SlotOf(u)
-		if s < 0 {
-			t.misses++
-			return Entry{}, false
-		}
-		t.flat.Access(u) // refresh recency
+		hit = t.flat.Touch(u)
+	} else if hit = t.cache.Contains(u); hit {
+		t.cache.Access(u) // refresh recency
+	}
+	if hit {
 		t.hits++
-		return t.fvals[s], true
-	}
-	if !t.policy.Contains(u) {
+	} else {
 		t.misses++
-		return Entry{}, false
 	}
-	t.policy.Access(u) // refresh recency
-	t.hits++
-	return t.values[u], true
+	return hit
 }
 
-// LookupHit reports whether huge page u is cached, with the same recency
-// and counter side effects as Lookup but without copying the entry out —
-// the variant callers that only steer ε-costs want on the hot path.
-func (t *TLB) LookupHit(u uint64) bool {
+// Insert caches huge page u, evicting per the policy. It returns the
+// evicted huge page and true if an eviction occurred. Callers insert
+// after a miss; inserting an already-present key just refreshes it.
+func (t *TLB) Insert(u uint64) (victim uint64, evicted bool) {
+	var v uint64
 	if t.flat != nil {
-		if t.flat.SlotOf(u) < 0 {
-			t.misses++
-			return false
-		}
-		t.flat.Access(u)
-		t.hits++
-		return true
+		_, v = t.flat.Access(u)
+	} else {
+		_, v = t.cache.Access(u)
 	}
-	if !t.policy.Contains(u) {
-		t.misses++
-		return false
-	}
-	t.policy.Access(u)
-	t.hits++
-	return true
-}
-
-// Insert caches the entry for huge page u, evicting per the policy. It
-// returns the evicted huge page and true if an eviction occurred. Callers
-// insert after a miss; inserting an already-present key just refreshes it.
-func (t *TLB) Insert(u uint64, e Entry) (victim uint64, evicted bool) {
-	if t.flat != nil {
-		s, _, v := t.flat.AccessSlot(u)
-		t.fvals[s] = e // victim's slot is reused, overwriting its value
-		if v != policy.NoEviction {
-			return v, true
-		}
+	if v == policy.NoEviction {
 		return 0, false
 	}
-	_, v := t.policy.Access(u)
-	if v != policy.NoEviction {
-		delete(t.values, v)
-		victim, evicted = v, true
-	}
-	t.values[u] = e
-	return victim, evicted
-}
-
-// Update overwrites the value of a cached entry without touching recency
-// or counters. It reports whether u was present. The decoupled scheme uses
-// this when the encoder's ψ(u) changes while u sits in the TLB (the paper
-// makes these updates free).
-func (t *TLB) Update(u uint64, e Entry) bool {
-	if t.flat != nil {
-		s := t.flat.SlotOf(u)
-		if s < 0 {
-			return false
-		}
-		t.fvals[s] = e
-		return true
-	}
-	if _, ok := t.values[u]; !ok {
-		return false
-	}
-	t.values[u] = e
-	return true
+	return v, true
 }
 
 // Contains reports whether u is cached, without side effects.
-func (t *TLB) Contains(u uint64) bool {
-	if t.flat != nil {
-		return t.flat.Contains(u)
-	}
-	return t.policy.Contains(u)
-}
-
-// Value returns the cached entry without touching recency or counters.
-func (t *TLB) Value(u uint64) (Entry, bool) {
-	if t.flat != nil {
-		s := t.flat.SlotOf(u)
-		if s < 0 {
-			return Entry{}, false
-		}
-		return t.fvals[s], true
-	}
-	e, ok := t.values[u]
-	return e, ok
-}
+func (t *TLB) Contains(u uint64) bool { return t.cache.Contains(u) }
 
 // Invalidate drops huge page u from the TLB (a TLB shootdown), reporting
 // whether it was present.
-func (t *TLB) Invalidate(u uint64) bool {
-	if t.flat != nil {
-		s := t.flat.RemoveSlot(u)
-		if s < 0 {
-			return false
-		}
-		t.fvals[s] = Entry{} // release the value's field array for GC
-		return true
-	}
-	if !t.policy.Remove(u) {
-		return false
-	}
-	delete(t.values, u)
-	return true
-}
+func (t *TLB) Invalidate(u uint64) bool { return t.cache.Remove(u) }
 
 // Hits and Misses return the lookup counters.
 func (t *TLB) Hits() uint64 { return t.hits }
@@ -203,15 +97,10 @@ func (t *TLB) Hits() uint64 { return t.hits }
 func (t *TLB) Misses() uint64 { return t.misses }
 
 // Len returns the number of cached entries.
-func (t *TLB) Len() int {
-	if t.flat != nil {
-		return t.flat.Len()
-	}
-	return t.policy.Len()
-}
+func (t *TLB) Len() int { return t.cache.Len() }
 
 // Cap returns the entry capacity ℓ.
-func (t *TLB) Cap() int { return t.entries }
+func (t *TLB) Cap() int { return t.cache.Cap() }
 
 // Reach returns the address-space coverage of the live entries in base
 // pages, given the pages each entry translates (h, or hmax for decoupled

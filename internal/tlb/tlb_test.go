@@ -3,97 +3,68 @@ package tlb
 import (
 	"testing"
 
-	"addrxlat/internal/bitpack"
 	"addrxlat/internal/hashutil"
 	"addrxlat/internal/policy"
 )
 
 func TestNewErrors(t *testing.T) {
-	if _, err := New(0, policy.LRUKind, 1); err == nil {
+	if _, err := New(0, 0, policy.LRUKind, 1); err == nil {
 		t.Error("entries=0 should error")
 	}
-	if _, err := New(4, "bogus", 1); err == nil {
+	if _, err := New(4, 0, "bogus", 1); err == nil {
 		t.Error("bad policy kind should error")
 	}
 }
 
 func TestLookupInsert(t *testing.T) {
-	tl, err := New(2, policy.LRUKind, 1)
+	tl, err := New(2, 0, policy.LRUKind, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tl.Lookup(1); ok {
+	if tl.Lookup(1) {
 		t.Fatal("empty TLB should miss")
 	}
-	tl.Insert(1, Entry{Phys: 100})
-	e, ok := tl.Lookup(1)
-	if !ok || e.Phys != 100 {
-		t.Fatalf("Lookup(1) = %+v,%v", e, ok)
+	tl.Insert(1)
+	if !tl.Lookup(1) {
+		t.Fatal("Lookup(1) missed after Insert(1)")
 	}
-	tl.Insert(2, Entry{Phys: 200})
-	// Insert 3: LRU victim should be 1 (2 was inserted later, 1 was
-	// refreshed by lookup... order: lookup(1) made 1 most recent, then
-	// insert(2). So LRU is 1? No: after Lookup(1), order [1]. Insert(2):
-	// order [2,1]. Insert(3) evicts 1.
-	victim, evicted := tl.Insert(3, Entry{Phys: 300})
+	tl.Insert(2)
+	// Lookup(1) made 1 most recent, then Insert(2): order [2,1], so
+	// Insert(3) evicts 1.
+	victim, evicted := tl.Insert(3)
 	if !evicted || victim != 1 {
 		t.Fatalf("Insert(3) victim = %d,%v want 1,true", victim, evicted)
 	}
 	if tl.Contains(1) {
 		t.Fatal("evicted entry still present")
 	}
-	if _, ok := tl.Value(1); ok {
-		t.Fatal("evicted entry's value retained")
-	}
 	if tl.Hits() != 1 || tl.Misses() != 1 {
 		t.Fatalf("counters: hits=%d misses=%d", tl.Hits(), tl.Misses())
 	}
 }
 
+// TestValueNoSideEffects pins that peeking at an entry (Contains) neither
+// refreshes its recency nor moves the counters.
 func TestValueNoSideEffects(t *testing.T) {
-	tl, _ := New(2, policy.LRUKind, 1)
-	tl.Insert(1, Entry{Phys: 10})
-	tl.Insert(2, Entry{Phys: 20})
+	tl, _ := New(2, 0, policy.LRUKind, 1)
+	tl.Insert(1)
+	tl.Insert(2)
 	// Peeking at 1 must NOT refresh it; inserting 3 must still evict 1.
-	if _, ok := tl.Value(1); !ok {
-		t.Fatal("Value(1) should find entry")
+	if !tl.Contains(1) {
+		t.Fatal("Contains(1) should find entry")
 	}
-	h, m := tl.Hits(), tl.Misses()
-	if h != 0 || m != 0 {
-		t.Fatal("Value must not touch counters")
+	if tl.Hits() != 0 || tl.Misses() != 0 {
+		t.Fatal("Contains must not touch counters")
 	}
-	victim, _ := tl.Insert(3, Entry{})
+	victim, _ := tl.Insert(3)
 	if victim != 1 {
-		t.Fatalf("victim = %d, want 1 (Value must not refresh recency)", victim)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	tl, _ := New(2, policy.LRUKind, 1)
-	if tl.Update(5, Entry{Phys: 1}) {
-		t.Fatal("Update of absent key should report false")
-	}
-	tl.Insert(5, Entry{Phys: 1})
-	if !tl.Update(5, Entry{Phys: 2}) {
-		t.Fatal("Update of present key should report true")
-	}
-	e, _ := tl.Value(5)
-	if e.Phys != 2 {
-		t.Fatalf("value after Update = %d, want 2", e.Phys)
-	}
-	// Update must not affect recency: 5 then 6 inserted, update 5,
-	// insert 7 → victim must be 5.
-	tl.Insert(6, Entry{})
-	tl.Update(5, Entry{Phys: 3})
-	victim, _ := tl.Insert(7, Entry{})
-	if victim != 5 {
-		t.Fatalf("victim = %d, want 5 (Update must not refresh)", victim)
+		t.Fatalf("victim = %d, want 1 (Contains must not refresh recency)", victim)
 	}
 }
 
 func TestInvalidate(t *testing.T) {
-	tl, _ := New(4, policy.LRUKind, 1)
-	tl.Insert(1, Entry{Phys: 1})
+	tl, _ := New(4, 0, policy.LRUKind, 1)
+	tl.Insert(1)
 	if !tl.Invalidate(1) {
 		t.Fatal("Invalidate of present key should report true")
 	}
@@ -105,21 +76,10 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFieldEntries(t *testing.T) {
-	tl, _ := New(4, policy.LRUKind, 1)
-	arr := bitpack.NewFieldArray(8, 6)
-	arr.Set(3, 42)
-	tl.Insert(9, Entry{Fields: arr})
-	e, ok := tl.Lookup(9)
-	if !ok || e.Fields.Get(3) != 42 {
-		t.Fatal("field-array entry lost")
-	}
-}
-
 func TestResetCounters(t *testing.T) {
-	tl, _ := New(4, policy.LRUKind, 1)
+	tl, _ := New(4, 0, policy.LRUKind, 1)
 	tl.Lookup(1)
-	tl.Insert(1, Entry{})
+	tl.Insert(1)
 	tl.Lookup(1)
 	tl.ResetCounters()
 	if tl.Hits() != 0 || tl.Misses() != 0 {
@@ -129,49 +89,81 @@ func TestResetCounters(t *testing.T) {
 
 func TestCapacityEnforced(t *testing.T) {
 	const n = 16
-	tl, _ := New(n, policy.LRUKind, 1)
-	r := hashutil.NewRNG(2)
-	values := map[uint64]uint64{}
-	for i := 0; i < 10000; i++ {
-		u := r.Uint64n(100)
-		if e, ok := tl.Lookup(u); ok {
-			if want := values[u]; e.Phys != want {
-				t.Fatalf("entry %d value %d, want %d", u, e.Phys, want)
+	for _, bound := range []uint64{0, 100, policy.KeyIndexBound + 1} {
+		tl, _ := New(n, bound, policy.LRUKind, 1)
+		r := hashutil.NewRNG(2)
+		cached := map[uint64]bool{}
+		for i := 0; i < 10000; i++ {
+			u := r.Uint64n(100)
+			if tl.Lookup(u) {
+				if !cached[u] {
+					t.Fatalf("bound %d: hit on key %d that was never cached or was evicted", bound, u)
+				}
+				continue
 			}
-			continue
+			if cached[u] {
+				t.Fatalf("bound %d: miss on cached key %d", bound, u)
+			}
+			cached[u] = true
+			if victim, evicted := tl.Insert(u); evicted {
+				delete(cached, victim)
+			}
+			if tl.Len() > n {
+				t.Fatalf("bound %d: Len = %d exceeds capacity %d", bound, tl.Len(), n)
+			}
+			if tl.Len() != len(cached) {
+				t.Fatalf("bound %d: Len = %d, shadow = %d", bound, tl.Len(), len(cached))
+			}
 		}
-		val := r.Uint64()
-		values[u] = val
-		if victim, evicted := tl.Insert(u, Entry{Phys: val}); evicted {
-			delete(values, victim)
-		}
-		if tl.Len() > n {
-			t.Fatalf("Len = %d exceeds capacity %d", tl.Len(), n)
-		}
-		if tl.Len() != len(values) {
-			t.Fatalf("Len = %d, shadow = %d", tl.Len(), len(values))
+		if tl.Hits()+tl.Misses() == 0 {
+			t.Fatalf("bound %d: counters never moved", bound)
 		}
 	}
-	if tl.Hits()+tl.Misses() == 0 {
-		t.Fatal("counters never moved")
+}
+
+// TestKeyBoundPicksPath pins how New chooses between the key-indexed flat
+// path and the map-backed LRU: dense keys, bounded or not, run flat, and
+// a bound past policy.KeyIndexBound (replayed page numbers) runs on the
+// map, where keys far past the node index are fine.
+func TestKeyBoundPicksPath(t *testing.T) {
+	for _, c := range []struct {
+		bound uint64
+		flat  bool
+	}{{0, true}, {1 << 20, true}, {policy.KeyIndexBound, true}, {policy.KeyIndexBound + 1, false}, {1 << 40, false}} {
+		tl, err := New(4, c.bound, policy.LRUKind, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tl.Flat() != c.flat {
+			t.Fatalf("bound %d: flat = %v, want %v", c.bound, tl.Flat(), c.flat)
+		}
+	}
+	tl, _ := New(4, 1<<40, policy.LRUKind, 1)
+	for _, u := range []uint64{1 << 39, 1<<40 - 1, 1 << 39} {
+		if !tl.Lookup(u) {
+			tl.Insert(u)
+		}
+	}
+	if tl.Hits() != 1 || tl.Misses() != 2 || tl.Len() != 2 {
+		t.Fatalf("sparse keys: hits=%d misses=%d len=%d, want 1, 2, 2", tl.Hits(), tl.Misses(), tl.Len())
 	}
 }
 
 func TestHitRateConvergesForSmallWorkingSet(t *testing.T) {
 	// Working set fits: after warmup, hit rate should be ~100%.
-	tl, _ := New(64, policy.LRUKind, 1)
+	tl, _ := New(64, 64, policy.LRUKind, 1)
 	r := hashutil.NewRNG(3)
 	for i := 0; i < 1000; i++ {
 		u := r.Uint64n(64)
-		if _, ok := tl.Lookup(u); !ok {
-			tl.Insert(u, Entry{})
+		if !tl.Lookup(u) {
+			tl.Insert(u)
 		}
 	}
 	tl.ResetCounters()
 	for i := 0; i < 10000; i++ {
 		u := r.Uint64n(64)
-		if _, ok := tl.Lookup(u); !ok {
-			tl.Insert(u, Entry{})
+		if !tl.Lookup(u) {
+			tl.Insert(u)
 		}
 	}
 	if tl.Misses() != 0 {
@@ -180,9 +172,9 @@ func TestHitRateConvergesForSmallWorkingSet(t *testing.T) {
 }
 
 func BenchmarkLookupHit(b *testing.B) {
-	tl, _ := New(1536, policy.LRUKind, 1)
+	tl, _ := New(1536, 1536, policy.LRUKind, 1)
 	for u := uint64(0); u < 1536; u++ {
-		tl.Insert(u, Entry{Phys: u})
+		tl.Insert(u)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
