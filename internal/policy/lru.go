@@ -82,6 +82,14 @@ func (l *LRU) EvictLRU() (key uint64, ok bool) {
 	return n.key, true
 }
 
+// ScanLRU calls fn for each cached key from least to most recently used,
+// stopping early when fn returns false. fn must not mutate the cache.
+// Mirrors DenseLRU.ScanLRU.
+func (l *LRU) ScanLRU(fn func(key uint64) bool) {
+	for n := l.order.head.prev; n != &l.order.head && fn(n.key); n = n.prev {
+	}
+}
+
 // Keys returns the cached keys from most to least recently used. Intended
 // for tests and debugging; O(n).
 func (l *LRU) Keys() []uint64 {
