@@ -30,13 +30,16 @@ race:
 # fuzz-smoke runs short fuzzing passes over the trace codec (seeded from
 # testdata/fuzz), the explain TLB-miss classifier (checked against a
 # map-backed oracle), the merged recency stack (checked against two
-# map-backed LRUs) and the key-indexed DenseLRU (checked against the
-# map-backed LRU), catching regressions without a dedicated fuzz farm.
+# map-backed LRUs), the key-indexed DenseLRU (checked against the
+# map-backed LRU) and the mm access kernels (checked against the naive
+# reference model on random small machines, traces and chunk splits),
+# catching regressions without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRead -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzClassifier -fuzztime=20s ./internal/explain/
 	$(GO) test -run=^$$ -fuzz=FuzzRecencyStack -fuzztime=20s ./internal/policy/
 	$(GO) test -run=^$$ -fuzz=FuzzDenseLRU -fuzztime=20s ./internal/policy/
+	$(GO) test -run=^$$ -fuzz=FuzzKernelVsReference -fuzztime=20s ./internal/mm/
 
 # bench runs the hot-path benchmarks with allocation reporting, teeing the
 # output into a timestamped file under results/ so runs can be compared

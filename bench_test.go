@@ -331,7 +331,8 @@ func BenchmarkAccessHugePage(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessDecoupled measures one Z access (TLB + decode + Y).
+// BenchmarkAccessDecoupled measures one Z access (TLB + decode + Y)
+// through Access, the batch kernel over a one-request column.
 func BenchmarkAccessDecoupled(b *testing.B) {
 	gen, err := workload.NewBimodal(1<<12, 1<<18, 0.9999, 1)
 	if err != nil {
@@ -356,7 +357,8 @@ func BenchmarkAccessDecoupled(b *testing.B) {
 }
 
 // BenchmarkAccessTHP measures one adaptive-THP access (region tracking,
-// promotion checks, TLB).
+// promotion checks, TLB) through Access, the batch kernel over one
+// request.
 func BenchmarkAccessTHP(b *testing.B) {
 	gen, err := workload.NewBimodal(1<<12, 1<<18, 0.9999, 1)
 	if err != nil {
@@ -375,7 +377,8 @@ func BenchmarkAccessTHP(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessSuperpage measures one reservation-based superpage access.
+// BenchmarkAccessSuperpage measures one reservation-based superpage access
+// through Access, the batch kernel over one request.
 func BenchmarkAccessSuperpage(b *testing.B) {
 	gen, err := workload.NewBimodal(1<<12, 1<<18, 0.9999, 1)
 	if err != nil {

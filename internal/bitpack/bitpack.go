@@ -41,9 +41,6 @@ func (a *FieldArray) Len() int { return a.n }
 // Width returns the width in bits of each field.
 func (a *FieldArray) Width() uint { return a.width }
 
-// Bits returns the total number of bits the array occupies (n * width).
-func (a *FieldArray) Bits() int { return a.n * int(a.width) }
-
 // mask returns a mask of the low `width` bits.
 func (a *FieldArray) mask() uint64 {
 	if a.width == 64 {
@@ -92,12 +89,6 @@ func (a *FieldArray) Fill(v uint64) {
 		a.Set(i, v)
 	}
 }
-
-// Words exposes the backing words (least-significant field first). The
-// returned slice aliases the array's storage; callers must not modify it.
-// It exists so tests and the TLB model can check the encoded value really
-// fits in w bits.
-func (a *FieldArray) Words() []uint64 { return a.words }
 
 // Clone returns a deep copy.
 func (a *FieldArray) Clone() *FieldArray {

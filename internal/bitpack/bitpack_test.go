@@ -97,21 +97,18 @@ func TestClone(t *testing.T) {
 
 func TestBits(t *testing.T) {
 	a := NewFieldArray(10, 5)
-	if a.Bits() != 50 {
-		t.Fatalf("Bits() = %d, want 50", a.Bits())
-	}
-	if len(a.Words()) != 1 {
-		t.Fatalf("50 bits should fit in 1 word, got %d", len(a.Words()))
+	if len(a.words) != 1 {
+		t.Fatalf("50 bits should fit in 1 word, got %d", len(a.words))
 	}
 	b := NewFieldArray(10, 7)
-	if len(b.Words()) != 2 {
-		t.Fatalf("70 bits should need 2 words, got %d", len(b.Words()))
+	if len(b.words) != 2 {
+		t.Fatalf("70 bits should need 2 words, got %d", len(b.words))
 	}
 }
 
 func TestZeroLength(t *testing.T) {
 	a := NewFieldArray(0, 8)
-	if a.Len() != 0 || a.Bits() != 0 {
+	if a.Len() != 0 || len(a.words) != 0 {
 		t.Fatal("zero-length array misreports size")
 	}
 }

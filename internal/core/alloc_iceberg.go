@@ -48,7 +48,7 @@ func NewIcebergAllocator(p Params, seed uint64) (*IcebergAllocator, error) {
 		space:  newBucketSpace(p.NumBuckets, p.B),
 		front:  make([]int32, p.NumBuckets),
 		back:   make([]int32, p.NumBuckets),
-		where:  dense.NewTable[uint32](^uint32(0), 0),
+		where:  dense.NewTable[uint32](^uint32(0), p.V),
 	}, nil
 }
 

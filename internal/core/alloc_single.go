@@ -33,7 +33,7 @@ func NewBucketAllocator(p Params, seed uint64) (*BucketAllocator, error) {
 		params: p,
 		fam:    hashutil.NewFamily(seed, 1, p.NumBuckets),
 		space:  newBucketSpace(p.NumBuckets, p.B),
-		slots:  dense.NewTable[uint32](^uint32(0), 0),
+		slots:  dense.NewTable[uint32](^uint32(0), p.V),
 	}, nil
 }
 

@@ -304,8 +304,8 @@ func TestValueBitBudget(t *testing.T) {
 		}
 		v := uint64(0)
 		s.PageIn(v)
-		if got := s.Value(p.HugePage(v)).Bits(); got > p.W {
-			t.Errorf("%s: encoded value %d bits > w=%d", kind, got, p.W)
+		if val := s.Value(p.HugePage(v)); val.Len()*int(val.Width()) > p.W {
+			t.Errorf("%s: encoded value %d bits > w=%d", kind, val.Len()*int(val.Width()), p.W)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"addrxlat/internal/bitpack"
+	"addrxlat/internal/dense"
 )
 
 // NullAddress is the paper's −1: the value the decoding function f returns
@@ -25,12 +26,18 @@ const NullAddress = ^uint64(0)
 // pages are densely numbered in [0, V/hmax], so ψ lives in an array rather
 // than a hash table. An entry whose huge page has no resident pages keeps
 // its (all-absent) field array cached, so churn on a huge page allocates
-// its value exactly once over the encoder's lifetime.
+// its value exactly once over the encoder's lifetime. As in dense.Table,
+// huge pages at or past dense.FlatBound(V/hmax) — all of them, when a
+// sparse address space of terabytes passes dense.SparseBound — live in a
+// map instead, holding only those with resident pages, so memory follows
+// the active set rather than V.
 type Encoder struct {
 	pageLayout
-	entries   []encEntry          // flat by huge page; arr == nil ⇒ never touched
-	active    int                 // entries with resident > 0
-	allAbsent *bitpack.FieldArray // shared read-only "no pages resident" value
+	entries   []encEntry           // flat by huge page below flatBound; arr == nil ⇒ never touched
+	sparse    map[uint64]*encEntry // huge pages ≥ flatBound with resident pages
+	flatBound uint64               // dense.SparseBound, or 0 when V/hmax passes it
+	active    int                  // entries with resident > 0
+	allAbsent *bitpack.FieldArray  // shared read-only "no pages resident" value
 }
 
 // pageLayout holds the per-page addressing constants of Params, hoisted
@@ -67,29 +74,47 @@ func NewEncoder(p Params) *Encoder {
 	}
 	allAbsent := bitpack.NewFieldArray(p.HMax, p.BitsPerPage)
 	allAbsent.Fill(p.AbsentCode())
+	layout := layoutOf(&p)
 	return &Encoder{
-		pageLayout: layoutOf(&p),
+		pageLayout: layout,
 		allAbsent:  allAbsent,
+		flatBound:  dense.FlatBound(p.V>>layout.shift + 1),
 	}
 }
 
 // entryFor returns the (possibly fresh) entry for huge page u, growing the
 // flat table on demand.
 func (e *Encoder) entryFor(u uint64) *encEntry {
-	if u >= uint64(len(e.entries)) {
-		newLen := uint64(len(e.entries))*2 + 1
-		if newLen <= u {
-			newLen = u + 1
+	var ent *encEntry
+	switch {
+	case u < uint64(len(e.entries)):
+		ent = &e.entries[u]
+	case u >= e.flatBound:
+		if ent = e.sparse[u]; ent == nil {
+			if e.sparse == nil {
+				e.sparse = make(map[uint64]*encEntry)
+			}
+			ent = &encEntry{}
+			e.sparse[u] = ent
 		}
-		entries := make([]encEntry, newLen)
+	default:
+		entries := make([]encEntry, min(max(uint64(len(e.entries))*2+1, u+1), e.flatBound))
 		copy(entries, e.entries)
 		e.entries = entries
+		ent = &e.entries[u]
 	}
-	ent := &e.entries[u]
 	if ent.arr == nil {
 		ent.arr = e.allAbsent.Clone()
 	}
 	return ent
+}
+
+// lookup returns huge page u's entry, nil if it has none.
+func (e *Encoder) lookup(u uint64) *encEntry {
+	if u < uint64(len(e.entries)) {
+		return &e.entries[u]
+	}
+	return e.sparse[u]
 }
 
 // PageAdded records that virtual page v became resident with the given
@@ -113,10 +138,10 @@ func (e *Encoder) PageAdded(v uint64, code uint64) {
 // PageRemoved records that virtual page v left the active set.
 func (e *Encoder) PageRemoved(v uint64) {
 	u := v >> e.shift
-	if u >= uint64(len(e.entries)) || e.entries[u].arr == nil || e.entries[u].resident == 0 {
+	ent := e.lookup(u)
+	if ent == nil || ent.arr == nil || ent.resident == 0 {
 		panic(fmt.Sprintf("core: PageRemoved for page %d with no encoded huge page", v))
 	}
-	ent := &e.entries[u]
 	idx := int(v & e.mask)
 	if ent.arr.Get(idx) == e.absent {
 		panic(fmt.Sprintf("core: PageRemoved for non-resident page %d", v))
@@ -125,6 +150,9 @@ func (e *Encoder) PageRemoved(v uint64) {
 	ent.resident--
 	if ent.resident == 0 {
 		e.active--
+		if u >= e.flatBound {
+			delete(e.sparse, u)
+		}
 	}
 }
 
@@ -138,6 +166,9 @@ func (e *Encoder) Value(u uint64) *bitpack.FieldArray {
 	if u < uint64(len(e.entries)) && e.entries[u].arr != nil {
 		return e.entries[u].arr
 	}
+	if ent := e.sparse[u]; ent != nil {
+		return ent.arr
+	}
 	return e.allAbsent
 }
 
@@ -149,8 +180,8 @@ func (e *Encoder) Snapshot(u uint64) *bitpack.FieldArray {
 // ResidentInHugePage returns how many of u's constituent pages are
 // resident.
 func (e *Encoder) ResidentInHugePage(u uint64) int {
-	if u < uint64(len(e.entries)) {
-		return int(e.entries[u].resident)
+	if ent := e.lookup(u); ent != nil {
+		return int(ent.resident)
 	}
 	return 0
 }

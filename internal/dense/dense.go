@@ -14,39 +14,47 @@ package dense
 // the grow-on-demand array; keys at or above it fall back to a hash map.
 // Page and region numbers — the intended keys — sit far below the bound,
 // so the map exists only for sparse keys, such as the page numbers of a
-// replayed trace.
+// replayed trace. A structure whose declared key bound passes SparseBound
+// keeps every key in the map: the keys of such a sparse space would touch
+// a flat array sparsely and grow it toward the bound.
 const SparseBound = 1 << 26
+
+// FlatBound returns the flat region's bound for keys in [0, keyBound),
+// keyBound 0 when unknown: SparseBound, or 0 past it.
+func FlatBound(keyBound uint64) uint64 {
+	if keyBound > SparseBound {
+		return 0
+	}
+	return SparseBound
+}
 
 // Table is a flat-array map from small dense uint64 keys to values. A
 // caller-chosen sentinel value denotes absence; Set with the sentinel is
 // rejected so presence stays unambiguous.
 type Table[V comparable] struct {
-	vals   []V
-	sparse map[uint64]V // keys ≥ SparseBound only; nil until first needed
-	absent V
-	n      int
+	vals      []V
+	sparse    map[uint64]V // keys ≥ flatBound only; nil until first needed
+	flatBound uint64       // see FlatBound
+	absent    V
+	n         int
 }
 
-// NewTable creates a table whose absent entries read as `absent`.
-// sizeHint pre-allocates capacity for keys [0, sizeHint); pass 0 to grow
-// purely on demand.
-func NewTable[V comparable](absent V, sizeHint int) *Table[V] {
-	t := &Table[V]{absent: absent}
-	if sizeHint > 0 {
-		t.grow(uint64(sizeHint - 1))
-	}
-	return t
+// NewTable creates a table whose absent entries read as `absent`, over
+// keys in [0, keyBound), keyBound 0 when unknown. The flat region grows
+// on demand.
+func NewTable[V comparable](absent V, keyBound uint64) *Table[V] {
+	return &Table[V]{absent: absent, flatBound: FlatBound(keyBound)}
 }
 
-// grow extends vals so that key k (< SparseBound) is in range, filling
+// grow extends vals so that key k (< flatBound) is in range, filling
 // with the sentinel.
 func (t *Table[V]) grow(k uint64) {
 	newLen := uint64(len(t.vals))*2 + 1
 	if newLen <= k {
 		newLen = k + 1
 	}
-	if newLen > SparseBound {
-		newLen = SparseBound
+	if newLen > t.flatBound {
+		newLen = t.flatBound
 	}
 	vals := make([]V, newLen)
 	copy(vals, t.vals)
@@ -58,7 +66,7 @@ func (t *Table[V]) grow(k uint64) {
 
 // Get returns the value stored for k and whether k is present.
 func (t *Table[V]) Get(k uint64) (V, bool) {
-	if k >= SparseBound {
+	if k >= t.flatBound {
 		v, ok := t.sparse[k]
 		if !ok {
 			return t.absent, false
@@ -76,7 +84,7 @@ func (t *Table[V]) Get(k uint64) (V, bool) {
 // the branch-light accessor for hot loops that treat the sentinel as a
 // first-class "not resident" code.
 func (t *Table[V]) At(k uint64) V {
-	if k >= SparseBound {
+	if k >= t.flatBound {
 		if v, ok := t.sparse[k]; ok {
 			return v
 		}
@@ -90,7 +98,7 @@ func (t *Table[V]) At(k uint64) V {
 
 // Contains reports whether k is present.
 func (t *Table[V]) Contains(k uint64) bool {
-	if k >= SparseBound {
+	if k >= t.flatBound {
 		_, ok := t.sparse[k]
 		return ok
 	}
@@ -102,7 +110,7 @@ func (t *Table[V]) Set(k uint64, v V) {
 	if v == t.absent {
 		panic("dense: Set with the absent sentinel")
 	}
-	if k >= SparseBound {
+	if k >= t.flatBound {
 		if t.sparse == nil {
 			t.sparse = make(map[uint64]V)
 		}
@@ -123,7 +131,7 @@ func (t *Table[V]) Set(k uint64, v V) {
 
 // Delete removes k, reporting whether it was present.
 func (t *Table[V]) Delete(k uint64) bool {
-	if k >= SparseBound {
+	if k >= t.flatBound {
 		if _, ok := t.sparse[k]; !ok {
 			return false
 		}
@@ -142,43 +150,52 @@ func (t *Table[V]) Delete(k uint64) bool {
 // Len returns the number of present entries.
 func (t *Table[V]) Len() int { return t.n }
 
-// Absent returns the table's sentinel value.
-func (t *Table[V]) Absent() V { return t.absent }
-
 // Cap returns the current backing-array length (highest grown key + 1);
 // exposed for tests and memory accounting.
 func (t *Table[V]) Cap() int { return len(t.vals) }
 
 // Bitset is a flat bit-vector over dense uint64 keys, for boolean page
 // state (touched, promoted, populated) that was previously map[uint64]bool.
+// Like Table, keys at or past its flat bound fall back to a hash set.
 type Bitset struct {
-	words []uint64
-	n     int
+	words     []uint64
+	sparse    map[uint64]struct{} // keys ≥ flatBound only; nil until first needed
+	flatBound uint64              // see FlatBound
+	n         int
 }
 
-// NewBitset creates a bitset; sizeHint pre-allocates for keys [0, sizeHint).
-func NewBitset(sizeHint int) *Bitset {
-	b := &Bitset{}
-	if sizeHint > 0 {
-		b.words = make([]uint64, (sizeHint+63)/64)
-	}
-	return b
+// NewBitset creates a bitset over keys in [0, keyBound), keyBound 0 when
+// unknown. The flat words grow on demand.
+func NewBitset(keyBound uint64) *Bitset {
+	return &Bitset{flatBound: FlatBound(keyBound)}
 }
 
 // Contains reports whether k is set.
 func (b *Bitset) Contains(k uint64) bool {
 	w := k >> 6
-	return w < uint64(len(b.words)) && b.words[w]&(1<<(k&63)) != 0
+	if w < uint64(len(b.words)) {
+		return b.words[w]&(1<<(k&63)) != 0
+	}
+	_, ok := b.sparse[k] // holds keys ≥ flatBound only
+	return ok
 }
 
 // Add sets bit k, reporting whether it was newly set.
 func (b *Bitset) Add(k uint64) bool {
+	if k >= b.flatBound {
+		if _, ok := b.sparse[k]; ok {
+			return false
+		}
+		if b.sparse == nil {
+			b.sparse = make(map[uint64]struct{})
+		}
+		b.sparse[k] = struct{}{}
+		b.n++
+		return true
+	}
 	w := k >> 6
 	if w >= uint64(len(b.words)) {
-		newLen := uint64(len(b.words))*2 + 1
-		if newLen <= w {
-			newLen = w + 1
-		}
+		newLen := min(max(uint64(len(b.words))*2+1, w+1), b.flatBound/64)
 		words := make([]uint64, newLen)
 		copy(words, b.words)
 		b.words = words
@@ -194,6 +211,14 @@ func (b *Bitset) Add(k uint64) bool {
 
 // Remove clears bit k, reporting whether it was set.
 func (b *Bitset) Remove(k uint64) bool {
+	if k >= b.flatBound {
+		if _, ok := b.sparse[k]; !ok {
+			return false
+		}
+		delete(b.sparse, k)
+		b.n--
+		return true
+	}
 	w := k >> 6
 	if w >= uint64(len(b.words)) {
 		return false

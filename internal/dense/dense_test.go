@@ -48,7 +48,7 @@ func TestTableSentinelSetPanics(t *testing.T) {
 }
 
 func TestTableGrowth(t *testing.T) {
-	tab := NewTable[int32](-1, 4)
+	tab := NewTable[int32](-1, 0)
 	tab.Set(1000, 3)
 	if v, ok := tab.Get(1000); !ok || v != 3 {
 		t.Fatalf("Get(1000) = %d,%v", v, ok)
@@ -74,7 +74,7 @@ func TestTableSparseKeys(t *testing.T) {
 	if v, ok := tab.Get(huge); !ok || v != 99 {
 		t.Fatalf("Get(huge) = %d,%v", v, ok)
 	}
-	if tab.At(huge) != 99 || tab.At(huge+1) != tab.Absent() {
+	if tab.At(huge) != 99 || tab.At(huge+1) != tab.absent {
 		t.Fatal("At wrong in sparse region")
 	}
 	if tab.Len() != 2 {
@@ -153,12 +153,18 @@ func TestBitset(t *testing.T) {
 	}
 }
 
+// TestBitsetMatchesMap drives a Bitset and a map with the same random
+// operation stream; half the keys straddle SparseBound, so the flat words
+// and the sparse set are both exercised and the flat region stays capped.
 func TestBitsetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	b := NewBitset(16)
+	b := NewBitset(0)
 	ref := map[uint64]bool{}
 	for i := 0; i < 20000; i++ {
 		k := uint64(rng.Intn(700))
+		if rng.Intn(2) == 0 {
+			k += SparseBound - 350
+		}
 		switch rng.Intn(3) {
 		case 0:
 			got := b.Add(k)
@@ -180,5 +186,32 @@ func TestBitsetMatchesMap(t *testing.T) {
 		if b.Len() != len(ref) {
 			t.Fatalf("step %d: Len %d != %d", i, b.Len(), len(ref))
 		}
+	}
+	if len(b.words) > SparseBound/64 {
+		t.Fatalf("flat region grew to %d words, past SparseBound", len(b.words))
+	}
+}
+
+// TestSparseKeyBoundStaysInMap pins the representation choice for a
+// declared key bound past SparseBound: a sparse space's low keys go to the
+// map too, so a few of them cannot grow the flat region toward the bound.
+func TestSparseKeyBoundStaysInMap(t *testing.T) {
+	tab := NewTable[uint32](0, 1<<40)
+	b := NewBitset(1 << 40)
+	for _, k := range []uint64{3, SparseBound - 1, 1 << 39} {
+		tab.Set(k, 7)
+		b.Add(k)
+		if tab.At(k) != 7 || !b.Contains(k) {
+			t.Fatalf("key %d lost", k)
+		}
+	}
+	if tab.Cap() != 0 || len(b.words) != 0 {
+		t.Fatalf("flat regions grew to %d values / %d words", tab.Cap(), len(b.words))
+	}
+	if !tab.Delete(3) || !b.Remove(3) || tab.Contains(3) || b.Contains(3) || tab.Len() != 2 || b.Len() != 2 {
+		t.Fatal("delete in the map region wrong")
+	}
+	if FlatBound(0) != SparseBound || FlatBound(SparseBound) != SparseBound || FlatBound(SparseBound+1) != 0 {
+		t.Fatal("FlatBound picks the wrong side")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
 	"addrxlat/internal/obs"
@@ -11,7 +12,10 @@ import (
 // snapshots delivered at chunk boundaries) must produce byte-identical
 // tables to running them bare, at several seeds. The explain counters
 // are observation-only — any divergence means an instrumentation site
-// mutated algorithm state or steered a branch.
+// mutated algorithm state or steered a branch. Two explain-armed runs
+// must also write byte-identical explain files: a series is keyed by
+// (row, phase, algorithm name), so two cells of one row sharing a name
+// would overwrite each other in whatever order the workers finish.
 func TestExplainByteIdentical(t *testing.T) {
 	base := Scale{SpaceDiv: 4096, AccessDiv: 10000}
 
@@ -24,6 +28,7 @@ func TestExplainByteIdentical(t *testing.T) {
 		{"related", Related},
 		{"geometry", TLBGeometryStudy},
 		{"adaptive", Adaptive},
+		{"nested", Nested},
 	}
 
 	for _, seed := range []uint64{1, 7, 42} {
@@ -34,20 +39,32 @@ func TestExplainByteIdentical(t *testing.T) {
 			}
 			want := renderTSV(t, bare)
 
-			probed := base
-			probed.Explain = true
-			rec := obs.NewRecorder(50_000)
-			probed.Probe = rec
-			tab, err := e.run(probed, seed)
-			if err != nil {
-				t.Fatalf("%s seed %d (explain): %v", e.name, seed, err)
+			var explained []string
+			for run := 0; run < 2; run++ {
+				probed := base
+				probed.Explain = true
+				rec := obs.NewRecorder(50_000)
+				probed.Probe = rec
+				tab, err := e.run(probed, seed)
+				if err != nil {
+					t.Fatalf("%s seed %d (explain): %v", e.name, seed, err)
+				}
+				if got := renderTSV(t, tab); got != want {
+					t.Errorf("%s seed %d: table changed with explain attached\nwith explain:\n%s\nwithout:\n%s",
+						e.name, seed, got, want)
+				}
+				if !rec.HasExplain() {
+					t.Errorf("%s seed %d: no attribution recorded", e.name, seed)
+				}
+				var buf bytes.Buffer
+				if err := rec.WriteExplainTSV(&buf); err != nil {
+					t.Fatal(err)
+				}
+				explained = append(explained, buf.String())
 			}
-			if got := renderTSV(t, tab); got != want {
-				t.Errorf("%s seed %d: table changed with explain attached\nwith explain:\n%s\nwithout:\n%s",
-					e.name, seed, got, want)
-			}
-			if !rec.HasExplain() {
-				t.Errorf("%s seed %d: no attribution recorded", e.name, seed)
+			if explained[0] != explained[1] {
+				t.Errorf("%s seed %d: two explain runs wrote different explain files:\n%s\nvs\n%s",
+					e.name, seed, explained[0], explained[1])
 			}
 		}
 	}

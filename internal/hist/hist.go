@@ -30,7 +30,6 @@ const numBuckets = (64-subBits)<<subBits + (1 << subBits)
 type H struct {
 	counts [numBuckets]uint32
 	n      uint64
-	sum    int64
 	min    int64
 	max    int64
 }
@@ -73,14 +72,10 @@ func (h *H) Observe(v int64) {
 	}
 	h.counts[bucketOf(v)]++
 	h.n++
-	h.sum += v
 }
 
 // Count returns the number of recorded samples.
 func (h *H) Count() uint64 { return h.n }
-
-// Sum returns the sum of all recorded samples.
-func (h *H) Sum() int64 { return h.sum }
 
 // Min returns the smallest recorded sample (0 when empty).
 func (h *H) Min() int64 {
@@ -96,14 +91,6 @@ func (h *H) Max() int64 {
 		return 0
 	}
 	return h.max
-}
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *H) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
 }
 
 // Quantile returns a value v such that at least q of the recorded samples
@@ -170,7 +157,6 @@ func (h *H) Merge(other *H) {
 		h.counts[i] += c
 	}
 	h.n += other.n
-	h.sum += other.sum
 }
 
 // String summarizes the distribution for debugging.

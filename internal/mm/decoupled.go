@@ -27,10 +27,6 @@ type DecoupledConfig struct {
 	// m = (1−δ)P). The paper's experiments use LRU for both.
 	TLBPolicy policy.Kind
 	RAMPolicy policy.Kind
-	// TLBWays, if nonzero, models the TLB as TLBWays-way set-associative
-	// instead of fully associative (the paper's model). TLBWays must
-	// divide TLBEntries.
-	TLBWays int
 	// Seed feeds the scheme's hash functions and randomized policies.
 	Seed uint64
 }
@@ -54,15 +50,6 @@ func (c *DecoupledConfig) validate() error {
 	return nil
 }
 
-// decoupledTLB is the minimal TLB surface Z needs, satisfied by both the
-// fully associative and set-associative models.
-type decoupledTLB interface {
-	Lookup(u uint64) bool
-	Insert(u uint64) (victim uint64, evicted bool)
-	ResetCounters()
-	Reach(pagesPerEntry uint64) uint64
-}
-
 // Decoupled is the paper's algorithm Z (Theorem 4): a huge-page decoupling
 // scheme D combined with a TLB-replacement policy X over virtual huge
 // pages of size hmax and a RAM-replacement policy Y over base pages with
@@ -80,26 +67,22 @@ type decoupledTLB interface {
 //     temporary IO plus one decoding miss (cost 1+ε), exactly the
 //     Theorem 4 recipe; the page remains failed until Y evicts it.
 type Decoupled struct {
-	cfg    DecoupledConfig
-	params core.Params
-	scheme *core.Scheme
-	tlb    decoupledTLB
-	ramY   policy.Policy // Y: base-page cache of capacity m
+	cfg     DecoupledConfig
+	params  core.Params
+	scheme  *core.Scheme
+	tlb     *tlb.TLB
+	ramY    policy.Policy    // Y: base-page cache of capacity m
+	ramFlat *policy.DenseLRU // ramY, when it is the key-indexed LRU
 
 	costs       Costs
 	ex          *explain.Counters
 	failureHits uint64 // requests serviced while the page was in F
 
-	// Batch-path specializations, resolved once at construction: the
-	// huge-page shift (HMax is a power of two), the concrete flat-LRU Y
-	// cache, and the concrete fully associative TLB. Either nil pointer
-	// routes AccessBatch to the scalar loop. miss is the TLB pass's packed
-	// miss-key column, reused across batches so steady-state batches
-	// allocate nothing.
-	hshift  uint
-	ramFlat *policy.DenseLRU
-	tlbFlat *tlb.TLB
-	miss    []uint64
+	// hshift is log₂ hmax (HMax is a power of two): v >> hshift is v's
+	// huge page. miss is the TLB pass's packed miss-key column, reused
+	// across batches so steady-state batches allocate nothing.
+	hshift uint
+	miss   []uint64
 }
 
 var _ Algorithm = (*Decoupled)(nil)
@@ -120,13 +103,7 @@ func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
 	// The TLB's keys are huge pages v>>hshift < V/hmax+1; Y's are base
 	// pages v < V.
 	hshift := uint(bits.TrailingZeros64(uint64(params.HMax)))
-	tlbKeys := cfg.VirtualPages>>hshift + 1
-	var cache decoupledTLB
-	if cfg.TLBWays > 0 {
-		cache, err = tlb.NewSetAssociative(cfg.TLBEntries, cfg.TLBWays, tlbKeys, cfg.TLBPolicy, cfg.Seed+2)
-	} else {
-		cache, err = tlb.New(cfg.TLBEntries, tlbKeys, cfg.TLBPolicy, cfg.Seed+2)
-	}
+	cache, err := tlb.New(cfg.TLBEntries, cfg.VirtualPages>>hshift+1, cfg.TLBPolicy, cfg.Seed+2)
 	if err != nil {
 		return nil, err
 	}
@@ -143,98 +120,50 @@ func NewDecoupled(cfg DecoupledConfig) (*Decoupled, error) {
 		hshift: hshift,
 	}
 	z.ramFlat, _ = ramY.(*policy.DenseLRU)
-	if ft, ok := cache.(*tlb.TLB); ok && ft.Flat() {
-		z.tlbFlat = ft
-	}
 	return z, nil
 }
 
-// Access implements Algorithm.
+// Access implements Algorithm: AccessBatch over one request.
 func (z *Decoupled) Access(v uint64) {
-	z.costs.Accesses++
-	u := v >> z.hshift
-
-	// --- RAM side (policy Y driving scheme D) ---
-	hit, victim := z.ramY.Access(v)
-	if victim != policy.NoEviction {
-		// Evictions are free. (Multi-queue policies may evict even on a
-		// hit, when promoting v displaces another key.)
-		z.scheme.PageOut(victim)
-		z.ex.Evict()
-	}
-	if !hit {
-		z.costs.IOs++ // fetching v is one IO
-		z.ex.DemandIO()
-		z.scheme.PageIn(v) // may fail; failure tracked by D
-	}
-
-	// --- TLB side (policy X) ---
-	// The TLB stores ψ(u); since ψ updates are free while u is resident,
-	// we model the entry as always holding the live value.
-	if !z.tlb.Lookup(u) {
-		z.costs.TLBMisses++
-		z.ex.TLBMiss(u)
-		z.tlb.Insert(u)
-	}
-
-	// --- Service the request via the decoding function f ---
-	if z.scheme.IsFailed(v) {
-		// Theorem 4 failure handling: one temporary IO + a decoding miss.
-		z.costs.IOs++
-		z.costs.DecodingMisses++
-		z.ex.FailureIO(1)
-		z.ex.DecodeMiss()
-		z.failureHits++
-		return
-	}
-	if phys := z.scheme.Lookup(v); phys == core.NullAddress {
-		// v is resident and not failed, so f must decode it; reaching
-		// here indicates a broken encoding, which must never happen.
-		panic(fmt.Sprintf("mm: resident page %d failed to decode", v))
-	}
+	vs := [1]uint64{v}
+	z.AccessBatch(vs[:])
 }
 
-// AccessBatch implements Algorithm: the chunk is processed as
-// two independent column passes instead of one interleaved per-access
-// loop. The decoupling makes this exact: the TLB column lives in the
-// huge-page keyspace and the RAM/decode column in the base-page keyspace,
-// the scheme never invalidates or revalues TLB entries mid-stream, and
-// every cost counter is a sum — so reordering work *between* columns
-// (while preserving order *within* each) reproduces the scalar counters
-// bit for bit (TestStagedBatchMatchesScalar).
+// AccessBatch implements Algorithm; it is Z's one access body. The chunk
+// is processed as two independent column passes instead of one
+// interleaved per-access loop. The decoupling makes this exact: the TLB
+// column lives in the huge-page keyspace and the RAM/decode column in the
+// base-page keyspace, the scheme never invalidates or revalues TLB
+// entries mid-stream, X and Y draw on separate seeds, and every cost
+// counter is a sum — so reordering work *between* columns (while
+// preserving order *within* each) yields the counters of servicing each
+// request in turn (TestStagedBatchMatchesScalar checks them against a
+// reference model).
 //
-//   - Pass 1 walks the request column through the flat Y cache, resolving
-//     each miss through the allocator (victim out, v in) in stream order
-//     — bucket loads depend on that order — and servicing failed pages.
-//     Consecutive repeats of one page collapse: a repeat is a Y hit of
-//     the MRU entry with no scheme traffic, and its decode check is a
-//     pure re-read; only failed pages re-charge 1+ε per repeat.
-//   - Pass 2 probes the huge-page column through the flat TLB, packing
-//     the missed keys into the reused miss column; its length is
-//     the column's ε-cost and (with attribution armed) its keys replay
-//     into the TLB-miss classifier, whose state is per-key, so column
-//     order preserves its answers.
-//
-// Configurations off the flat fast paths (set-associative TLB, non-LRU
-// policies) keep the scalar loop.
+//   - Pass 1 walks the request column through Y. A miss costs one IO and
+//     pages v in through D after paging out Y's victim — bucket loads
+//     depend on that out-before-in order, so misses resolve in stream
+//     order. A victim Y reports on a hit (multi-queue policies such as
+//     ARC or 2Q may evict when promoting) is paged out too. A request to
+//     a page in F is then serviced with one temporary IO plus one
+//     decoding miss (1+ε, Theorem 4's recipe); every other request must
+//     decode. On the key-indexed LRU, consecutive repeats of one page
+//     collapse: a repeat is a hit of the MRU entry with no scheme
+//     traffic, and its decode check is a pure re-read; only failed pages
+//     re-charge 1+ε per repeat.
+//   - Pass 2 probes the huge-page column through X (TLB.ProbeFill), a
+//     miss costing ε and packing its key into the reused miss column;
+//     with attribution armed the keys replay into the TLB-miss
+//     classifier, whose state is per-key, so column order preserves its
+//     answers.
 func (z *Decoupled) AccessBatch(vs []uint64) {
-	ry, t := z.ramFlat, z.tlbFlat
-	if ry == nil || t == nil {
-		for _, v := range vs {
-			z.Access(v)
-		}
-		return
-	}
-
-	// Pass 1: RAM column (policy Y driving scheme D), plus failure/decode
-	// servicing, which reads only scheme state of the accesses before it.
-	scheme := z.scheme
+	scheme, ry, flat := z.scheme, z.ramY, z.ramFlat
 	var ios, decodes, fhits uint64
 	var prevV uint64
-	prevFailed, havePrev := false, false
+	failed, havePrev := false, false
 	for _, v := range vs {
 		if havePrev && v == prevV {
-			if prevFailed {
+			if failed {
 				ios++
 				decodes++
 				fhits++
@@ -243,21 +172,30 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 			}
 			continue
 		}
-		havePrev, prevV = true, v
-		hit, victim := ry.Access(v)
-		if !hit {
-			ios++
-			z.ex.DemandIO()
+		havePrev, prevV = flat != nil, v // repeats collapse only under LRU
+		var hit bool
+		var victim uint64
+		if flat != nil {
+			hit, victim = flat.Access(v)
+		} else {
+			hit, victim = ry.Access(v)
+		}
+		if hit {
 			if victim != policy.NoEviction {
 				z.ex.Evict()
-				prevFailed = scheme.ResolveMiss(v, victim, true)
-			} else {
-				prevFailed = scheme.ResolveMiss(v, 0, false)
+				scheme.PageOut(victim)
 			}
+			failed = scheme.IsFailed(v)
 		} else {
-			prevFailed = scheme.IsFailed(v)
+			ios++
+			z.ex.DemandIO()
+			evicted := victim != policy.NoEviction
+			if evicted {
+				z.ex.Evict()
+			}
+			failed = scheme.ResolveMiss(v, victim, evicted)
 		}
-		if prevFailed {
+		if failed {
 			ios++
 			decodes++
 			fhits++
@@ -275,7 +213,7 @@ func (z *Decoupled) AccessBatch(vs []uint64) {
 	if cap(z.miss) < len(vs) {
 		z.miss = make([]uint64, 0, len(vs))
 	}
-	miss, _ := t.ProbeFill(vs, z.hshift, z.miss[:0])
+	miss := z.tlb.ProbeFill(vs, z.hshift, z.miss[:0])
 	z.miss = miss
 	if z.ex != nil {
 		for _, u := range miss {

@@ -189,55 +189,3 @@ func TestDecoupledStress(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", c)
 }
-
-// TestDecoupledSetAssociativeTLB drives Z with a realistic 8-way TLB: all
-// invariants hold, and misses are at least the fully-associative count.
-func TestDecoupledSetAssociativeTLB(t *testing.T) {
-	mk := func(ways int) *Decoupled {
-		z, err := NewDecoupled(DecoupledConfig{
-			Alloc:        core.IcebergAlloc,
-			RAMPages:     1 << 12,
-			VirtualPages: 1 << 16,
-			TLBEntries:   32,
-			TLBWays:      ways,
-			ValueBits:    64,
-			Seed:         7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return z
-	}
-	run := func(z *Decoupled) Costs {
-		r := hashutil.NewRNG(8)
-		for i := 0; i < 100000; i++ {
-			z.Access(r.Uint64n(1 << 11))
-		}
-		return z.Costs()
-	}
-	full := run(mk(0))
-	eightWay := run(mk(8))
-	direct := run(mk(1))
-	if full.IOs != eightWay.IOs || full.IOs != direct.IOs {
-		t.Fatalf("TLB geometry changed IOs: %d/%d/%d", full.IOs, eightWay.IOs, direct.IOs)
-	}
-	// LRU under different geometries makes different eviction decisions,
-	// so strict dominance does not hold; in this capacity-dominated
-	// regime all three must land in the same band (conflict-regime
-	// ordering is asserted in the tlb package's own tests).
-	for _, c := range []Costs{eightWay, direct} {
-		lo := float64(full.TLBMisses) * 0.95
-		hi := float64(full.TLBMisses) * 1.25
-		if f := float64(c.TLBMisses); f < lo || f > hi {
-			t.Fatalf("geometry misses %d outside band [%v,%v] around fully-assoc %d",
-				c.TLBMisses, lo, hi, full.TLBMisses)
-		}
-	}
-	// Invalid ways rejected.
-	if _, err := NewDecoupled(DecoupledConfig{
-		Alloc: core.IcebergAlloc, RAMPages: 1 << 12, VirtualPages: 1 << 16,
-		TLBEntries: 32, TLBWays: 5, ValueBits: 64, Seed: 1,
-	}); err == nil {
-		t.Fatal("ways not dividing entries should error")
-	}
-}

@@ -108,9 +108,9 @@ func NewHawkEye(cfg HawkEyeConfig) (*HawkEye, error) {
 		cfg:      cfg,
 		tlb:      t,
 		ram:      newUnitLRU(int(cfg.RAMPages), keys),
-		resident: dense.NewTable[uint32](0, 0),
-		promoted: dense.NewBitset(0),
-		hotness:  dense.NewTable[uint64](0, 0),
+		resident: dense.NewTable[uint32](0, regionBound(cfg.VirtualPages, cfg.HugePageSize)),
+		promoted: dense.NewBitset(regionBound(cfg.VirtualPages, cfg.HugePageSize)),
+		hotness:  dense.NewTable[uint64](0, regionBound(cfg.VirtualPages, cfg.HugePageSize)),
 	}, nil
 }
 

@@ -32,6 +32,7 @@ type Hybrid struct {
 	shift uint // log₂ g: v >> shift is v's group
 	costs Costs
 	ex    *explain.Counters
+	keys  [hybridBlock]uint64 // one block's group-key column, reused
 }
 
 var _ Algorithm = (*Hybrid)(nil)
@@ -56,47 +57,29 @@ func NewHybrid(cfg HybridConfig) (*Hybrid, error) {
 	return &Hybrid{inner: z, g: cfg.GroupSize, shift: uint(bits.TrailingZeros64(cfg.GroupSize))}, nil
 }
 
-// Access implements Algorithm.
+// Access implements Algorithm: AccessBatch over one request.
 func (h *Hybrid) Access(v uint64) {
-	var exBefore explain.Counters
-	if h.ex != nil {
-		exBefore = h.inner.ex.Snapshot()
-	}
-	before := h.inner.Costs()
-	h.inner.Access(v / h.g)
-	after := h.inner.Costs()
-
-	// Group IOs amplify by g; ε-costs carry over unchanged.
-	h.costs.Accesses++
-	h.costs.IOs += (after.IOs - before.IOs) * h.g
-	h.costs.TLBMisses += after.TLBMisses - before.TLBMisses
-	h.costs.DecodingMisses += after.DecodingMisses - before.DecodingMisses
-
-	if h.ex != nil {
-		d := explain.Sub(h.inner.ex.Snapshot(), exBefore)
-		// Each group fault moves g base pages: the g−1 beyond the demanded
-		// (or failure-serviced) one are amplification, mirroring the IO×g
-		// scaling above so the attributed total still matches Costs.IOs.
-		d.IOAmplified += (d.IODemand + d.IOFailure) * (h.g - 1)
-		h.ex.Merge(d)
-	}
+	vs := [1]uint64{v}
+	h.AccessBatch(vs[:])
 }
 
 // hybridBlock is the group-key column length of one AccessBatch step: the
-// column lives in a fixed-size array on the stack, so batches allocate no
-// per-pass buffer.
+// column lives in a fixed-size array in the Hybrid, so batches allocate
+// no per-pass buffer.
 const hybridBlock = 1024
 
-// AccessBatch implements Algorithm: each block of requests is mapped to its
-// group-key column (v >> log₂ g) and run through the inner Decoupled's
-// column kernel, and the block's IO delta is scaled by g. Every Costs
-// field is a sum over accesses, so one delta per block equals the sum of
-// the per-access deltas Access takes. With attribution armed the explain
-// delta is one snapshot diff per block, exact for the same reason: the
-// amplification term (IODemand+IOFailure)·(g−1) is linear in the delta.
+// AccessBatch implements Algorithm; it is the hybrid's one access body.
+// Each block of requests is mapped to its group-key column (v >> log₂ g)
+// and run through the inner Decoupled's kernel. Each group fault moves g
+// base pages, so the block's IO delta is scaled by g; ε-costs carry over
+// unchanged. Every Costs field is a sum over accesses, so one delta per
+// block equals the sum of per-access deltas. With attribution armed the
+// explain delta is one snapshot diff per block, exact for the same
+// reason: the g−1 pages beyond the demanded (or failure-serviced) one are
+// amplification, a term (IODemand+IOFailure)·(g−1) linear in the delta,
+// so the attributed total still matches Costs.IOs.
 func (h *Hybrid) AccessBatch(vs []uint64) {
-	var keys [hybridBlock]uint64
-	z := h.inner
+	z, keys := h.inner, h.keys[:]
 	for len(vs) > 0 {
 		n := min(len(vs), hybridBlock)
 		for i, v := range vs[:n] {
@@ -133,7 +116,7 @@ func (h *Hybrid) ResetCosts() {
 	h.inner.ResetCosts()
 }
 
-// EnableExplain implements Explainer: attribution is computed per access
+// EnableExplain implements Explainer: attribution is computed per block
 // by diffing the inner algorithm's counters, so both layers enable.
 func (h *Hybrid) EnableExplain() {
 	if h.ex == nil {

@@ -19,6 +19,13 @@
 //     a TLB-replacement policy X and RAM-replacement policy Y.
 //   - Hybrid: the Section 8 sketch — decoupling over physically
 //     contiguous groups of g pages.
+//
+// Each simulator has one access body. THP, Superpage, Decoupled and
+// Hybrid run a fused batch kernel, and their Access is AccessBatch over a
+// one-request array; the other simulators' AccessBatch loops over Access
+// (HugePage hands its merged-LRU chunks to the recency stack's column
+// kernel). The kernels are checked against a naive reference model in
+// the package tests.
 package mm
 
 import "fmt"
@@ -56,7 +63,8 @@ func (c Costs) String() string {
 // one at a time or a whole slice per call.
 type Algorithm interface {
 	// Access services a request for virtual page v, updating cost
-	// counters.
+	// counters. For the simulators with a fused kernel (THP, Superpage,
+	// Decoupled, Hybrid) it is AccessBatch over one request.
 	Access(v uint64)
 
 	// AccessBatch services the requests in order, exactly as repeated

@@ -187,9 +187,11 @@ func (n *Nested) ExplainGauges() (explain.Gauges, bool) {
 	return g, true
 }
 
-// Name implements Algorithm.
+// Name implements Algorithm. It carries both TLB sizes, so configurations
+// that split one TLB budget differently (e5's cells) stay distinct.
 func (n *Nested) Name() string {
-	return fmt.Sprintf("nested(hg=%d,hh=%d)", n.cfg.GuestHugePageSize, n.cfg.HostHugePageSize)
+	return fmt.Sprintf("nested(hg=%d,hh=%d,guest=%d,host=%d)", n.cfg.GuestHugePageSize, n.cfg.HostHugePageSize,
+		n.cfg.GuestTLBEntries, n.cfg.HostTLBEntries)
 }
 
 // NestedWalkRefs reports how many extra host references guest TLB misses

@@ -59,8 +59,10 @@ type Superpage struct {
 	tlb *tlb.TLB
 	lru unitLRU // region ids, recency for preemption/eviction
 
-	regions   []spRegion    // flat by region number; present marks live entries
-	populated *dense.Bitset // absolute page numbers populated
+	regions   []spRegion           // flat by region number below flatBound; present marks live entries
+	sparse    map[uint64]*spRegion // live regions at or past flatBound
+	flatBound uint64               // see regionFor
+	populated *dense.Bitset        // absolute page numbers populated
 	used      uint64
 
 	// reservedFree is Σ (h − populated) over reserved, unpromoted regions:
@@ -92,29 +94,47 @@ func NewSuperpage(cfg SuperpageConfig) (*Superpage, error) {
 	if err != nil {
 		return nil, err
 	}
+	regions := regionBound(cfg.VirtualPages, cfg.HugePageSize)
 	return &Superpage{
 		cfg: cfg,
 		tlb: t,
 		// Recency tracking only: every region holds ≥ 1 page, so the
 		// region count never exceeds RAMPages and this LRU never
 		// self-evicts; page-granular capacity is enforced by makeRoom.
-		lru:       newUnitLRU(int(cfg.RAMPages)+1, (cfg.VirtualPages+cfg.HugePageSize-1)/cfg.HugePageSize),
-		populated: dense.NewBitset(0),
+		lru:       newUnitLRU(int(cfg.RAMPages)+1, regions),
+		flatBound: dense.FlatBound(regions),
+		populated: dense.NewBitset(cfg.VirtualPages),
 	}, nil
 }
 
-// regionFor returns the (possibly zero-valued) flat entry for region r,
-// growing the table on demand.
+// regionFor returns the (possibly zero-valued) entry for region r. As in
+// dense.Table, regions below flatBound = dense.FlatBound(⌈V/h⌉) live in a
+// flat table grown on demand, the rest (all of them, in a sparse address
+// space past dense.SparseBound) in a map holding live regions only.
 func (m *Superpage) regionFor(r uint64) *spRegion {
-	if r >= uint64(len(m.regions)) {
-		newLen := uint64(len(m.regions))*2 + 1
-		if newLen <= r {
-			newLen = r + 1
-		}
-		regs := make([]spRegion, newLen)
-		copy(regs, m.regions)
-		m.regions = regs
+	if r < uint64(len(m.regions)) {
+		return &m.regions[r]
 	}
+	return m.newRegion(r)
+}
+
+// newRegion is regionFor past the flat table, kept out of line so that
+// regionFor's fast path inlines into the kernel.
+func (m *Superpage) newRegion(r uint64) *spRegion {
+	if r >= m.flatBound {
+		reg := m.sparse[r]
+		if reg == nil {
+			if m.sparse == nil {
+				m.sparse = make(map[uint64]*spRegion)
+			}
+			reg = &spRegion{}
+			m.sparse[r] = reg
+		}
+		return reg
+	}
+	regs := make([]spRegion, min(max(uint64(len(m.regions))*2+1, r+1), m.flatBound))
+	copy(regs, m.regions)
+	m.regions = regs
 	return &m.regions[r]
 }
 
@@ -138,7 +158,7 @@ func (m *Superpage) makeRoom(need uint64) {
 	// only region state, never the LRU, so the in-place scan is safe.
 	if m.reservedFree > 0 {
 		m.lru.ScanLRU(func(r uint64) bool {
-			reg := &m.regions[r]
+			reg := m.regionFor(r)
 			if reg.reserved && !reg.promoted {
 				freed := m.cfg.HugePageSize - uint64(reg.pop)
 				reg.reserved = false
@@ -162,7 +182,7 @@ func (m *Superpage) makeRoom(need uint64) {
 
 // dropRegion releases region r entirely.
 func (m *Superpage) dropRegion(r uint64) {
-	reg := &m.regions[r]
+	reg := m.regionFor(r)
 	m.used -= m.charge(reg)
 	m.ex.Evict()
 	if reg.reserved && !reg.promoted {
@@ -183,87 +203,15 @@ func (m *Superpage) dropRegion(r uint64) {
 		}
 	}
 	*reg = spRegion{}
+	if r >= m.flatBound {
+		delete(m.sparse, r)
+	}
 }
 
-// Access implements Algorithm.
+// Access implements Algorithm: AccessBatch over one request.
 func (m *Superpage) Access(v uint64) {
-	m.costs.Accesses++
-	r := v / m.cfg.HugePageSize
-
-	reg := m.regionFor(r)
-	if !reg.present {
-		// First touch: try to reserve a full frame; if RAM is too tight
-		// even after preemption, fall back to a downgraded (page-grain)
-		// region. Reservation itself costs no IO beyond the demanded
-		// page — the frame is just claimed. r is not in the LRU yet, so
-		// makeRoom cannot evict it.
-		reg.present = true
-		if m.fits(m.cfg.HugePageSize) {
-			m.makeRoom(m.cfg.HugePageSize)
-			reg.reserved = true
-			m.used += m.cfg.HugePageSize
-			m.reservedFree += m.cfg.HugePageSize
-		} else {
-			m.makeRoom(1)
-			m.used++
-		}
-		m.populated.Add(v)
-		reg.pop++
-		if reg.reserved {
-			m.reservedFree--
-		}
-		m.costs.IOs++
-		m.ex.DemandIO()
-		m.lru.Access(r)
-	} else {
-		m.lru.Access(r)
-		if !m.populated.Contains(v) {
-			// Populate one more page.
-			if !reg.reserved {
-				m.makeRoom(1)
-				// makeRoom may have evicted r itself in pathological
-				// tiny-RAM cases; re-install if so (dropRegion cleared
-				// its state and its populated bits).
-				if !reg.present {
-					reg.present = true
-					m.lru.Access(r)
-				}
-				m.used++
-			}
-			m.populated.Add(v)
-			reg.pop++
-			if reg.reserved {
-				m.reservedFree--
-			}
-			m.costs.IOs++
-			m.ex.DemandIO()
-		}
-	}
-
-	// Promotion: a fully populated reservation becomes a superpage.
-	if reg.reserved && !reg.promoted && uint64(reg.pop) == m.cfg.HugePageSize {
-		reg.promoted = true
-		m.promotions++
-		m.ex.Promote()
-		start := r * m.cfg.HugePageSize
-		for o := uint64(0); o < m.cfg.HugePageSize; o++ {
-			if m.tlb.Invalidate(tlbBase(start + o)) {
-				m.ex.TLBInvalidated(tlbBase(start + o))
-			}
-		}
-	}
-
-	var key uint64
-	if reg.promoted {
-		key = tlbHuge(r)
-	} else {
-		key = tlbBase(v)
-	}
-	if !m.tlb.Lookup(key) {
-		m.costs.TLBMisses++
-		m.ex.TLBMiss(key)
-		m.tlb.Insert(key)
-	}
+	vs := [1]uint64{v}
+	m.AccessBatch(vs[:])
 }
 
 // fits reports whether `pages` more pages could fit after preempting every
@@ -273,26 +221,30 @@ func (m *Superpage) fits(pages uint64) bool {
 	return m.used-m.reservedFree+pages <= m.cfg.RAMPages
 }
 
-// AccessBatch implements Algorithm. Like THP, the superpage
-// system's RAM side invalidates TLB entries mid-stream (promotion
-// shootdowns, evicted regions), so the kernel stays in-order and fused,
-// with the same exact shortcuts (TestStagedBatchMatchesScalar): repeats
-// of the previous request collapse to one TLB hit count (the region and
-// entry are both MRU, the page already populated); a request sharing the
-// previous TLB key — same promoted region — skips the probe, since its
-// RAM path is a pure recency refresh of a fully populated region; all
-// other requests run the scalar body with the probe-and-reserve TLB op.
+// AccessBatch implements Algorithm; it is the superpage system's one
+// access body. Request v in region r:
 //
-// Keys past policy.KeyIndexBound put the TLB or the region LRU on the
-// map LRU, which has no fused probe; such a batch takes the scalar path.
+//   - first touch of r: reserve a full h-page frame if preemption could
+//     make room for one, else hold r page-grain (downgraded); either way
+//     populate v at one IO. Reservation itself costs no IO — the frame is
+//     just claimed — and r is not in the LRU yet, so making room cannot
+//     evict it;
+//   - later touches refresh r's recency and populate v at one IO if it is
+//     new, a downgraded region first making room for the page (which in
+//     tiny-RAM corner cases evicts r itself; it is then re-installed);
+//   - a reservation whose every page is populated is promoted, shooting
+//     down its base TLB entries;
+//   - the TLB is probed with r's huge entry once promoted, else v's base
+//     entry, a miss costing ε.
+//
+// Like THP's, the RAM side invalidates TLB entries mid-stream, so the
+// kernel stays in order, with the same exact shortcuts: a repeat of the
+// previous request collapses to one TLB hit count (the region and entry
+// are both MRU, the page already populated), and a request sharing the
+// previous TLB key — same promoted region — skips the probe, since its
+// RAM path is a pure recency refresh of a fully populated region.
 func (m *Superpage) AccessBatch(vs []uint64) {
-	t, lru := m.tlb, m.lru.flat
-	if !t.Flat() || lru == nil {
-		for _, v := range vs {
-			m.Access(v)
-		}
-		return
-	}
+	t, lru := m.tlb, m.lru
 	rshift := uint(bits.TrailingZeros64(m.cfg.HugePageSize))
 	var prevV, prevKey uint64
 	havePrev := false
@@ -328,7 +280,8 @@ func (m *Superpage) AccessBatch(vs []uint64) {
 			if !m.populated.Contains(v) {
 				if !reg.reserved {
 					m.makeRoom(1)
-					if !reg.present {
+					if !reg.present { // makeRoom evicted r: re-install it
+						reg = m.regionFor(r)
 						reg.present = true
 						lru.Access(r)
 					}
@@ -350,7 +303,7 @@ func (m *Superpage) AccessBatch(vs []uint64) {
 			m.ex.Promote()
 			start := r * m.cfg.HugePageSize
 			for o := uint64(0); o < m.cfg.HugePageSize; o++ {
-				if m.tlb.Invalidate(tlbBase(start + o)) {
+				if t.Invalidate(tlbBase(start + o)) {
 					m.ex.TLBInvalidated(tlbBase(start + o))
 				}
 			}
@@ -404,6 +357,11 @@ func (m *Superpage) ExplainGauges() (explain.Gauges, bool) {
 	var promoted uint64
 	for i := range m.regions {
 		if m.regions[i].promoted {
+			promoted++
+		}
+	}
+	for _, reg := range m.sparse {
+		if reg.promoted {
 			promoted++
 		}
 	}

@@ -96,6 +96,10 @@ func tlbHuge(r uint64) uint64 { return r<<1 | 1 }
 // past policy.KeyIndexBound puts the unit LRU and the TLB on the map LRU.
 func taggedKeyBound(virtualPages uint64) uint64 { return 2 * virtualPages }
 
+// regionBound returns ⌈V/h⌉, the bound of the region numbers of an
+// address space of virtualPages base pages (0 when V is unknown).
+func regionBound(virtualPages, h uint64) uint64 { return (virtualPages + h - 1) / h }
+
 // NewTHP builds the adaptive baseline.
 func NewTHP(cfg THPConfig) (*THP, error) {
 	if err := cfg.validate(); err != nil {
@@ -110,8 +114,8 @@ func NewTHP(cfg THPConfig) (*THP, error) {
 		cfg:      cfg,
 		tlb:      t,
 		ram:      newUnitLRU(int(cfg.RAMPages), keys), // capacity checked in pages manually
-		resident: dense.NewTable[uint32](0, 0),
-		promoted: dense.NewBitset(0),
+		resident: dense.NewTable[uint32](0, regionBound(cfg.VirtualPages, cfg.HugePageSize)),
+		promoted: dense.NewBitset(regionBound(cfg.VirtualPages, cfg.HugePageSize)),
 	}, nil
 }
 
@@ -160,45 +164,10 @@ func (m *THP) dropUnit(id uint64) {
 	}
 }
 
-// Access implements Algorithm.
+// Access implements Algorithm: AccessBatch over one request.
 func (m *THP) Access(v uint64) {
-	m.costs.Accesses++
-	r := v / m.cfg.HugePageSize
-
-	var tlbKey uint64
-	if m.promoted.Contains(r) {
-		// Promoted region: touch the huge unit.
-		m.ram.Access(unitHuge(r)) // always a hit; refreshes recency
-		tlbKey = tlbHuge(r)
-	} else {
-		id := unitBase(v)
-		if !m.ram.Contains(id) {
-			// Base-page fault: one IO.
-			m.costs.IOs++
-			m.ex.DemandIO()
-			m.evictUntilFits(1)
-			m.ram.Access(id)
-			m.used++
-			count := m.resident.At(r) + 1
-			m.resident.Set(r, count)
-			// Promotion check.
-			if int(count) >= m.cfg.PromoteThreshold {
-				m.promote(r)
-				tlbKey = tlbHuge(r)
-			} else {
-				tlbKey = tlbBase(v)
-			}
-		} else {
-			m.ram.Access(id)
-			tlbKey = tlbBase(v)
-		}
-	}
-
-	if !m.tlb.Lookup(tlbKey) {
-		m.costs.TLBMisses++
-		m.ex.TLBMiss(tlbKey)
-		m.tlb.Insert(tlbKey)
-	}
+	vs := [1]uint64{v}
+	m.AccessBatch(vs[:])
 }
 
 // promote converts region r into a physically contiguous huge page:
@@ -233,11 +202,14 @@ func (m *THP) promote(r uint64) {
 	m.ex.Promote()
 }
 
-// AccessBatch implements Algorithm. THP's RAM side invalidates
-// TLB entries mid-stream (promotion shootdowns, demotion on eviction), so
-// its TLB work cannot be hoisted into a separate column pass the way the
-// decoupled scheme's can; instead the kernel fuses the scalar access
-// in-order with three exact shortcuts (TestStagedBatchMatchesScalar):
+// AccessBatch implements Algorithm; it is THP's one access body. Request
+// v in region r refreshes r's huge unit when r is promoted, else v's base
+// unit; a base-page fault costs one IO, may evict LRU units to make room,
+// and promotes r once PromoteThreshold of its base pages are resident.
+// The request then looks up the unit's TLB entry (huge or base), a miss
+// costing ε. The RAM side invalidates TLB entries mid-stream (promotion
+// shootdowns, demotion on eviction), so the TLB work stays in order,
+// with two exact shortcuts:
 //
 //   - a request repeating the previous one is a recency no-op everywhere
 //     — its unit and TLB entry are both MRU — so it collapses to one TLB
@@ -245,22 +217,12 @@ func (m *THP) promote(r uint64) {
 //   - a request whose TLB key equals the previous key (same promoted
 //     region) skips the TLB probe: the entry is MRU, and the RAM path of
 //     a same-key access is a pure recency refresh that cannot have
-//     invalidated it;
-//   - the resident-hit path probes and refreshes its unit in one step
-//     (Touch) instead of two (Contains+Access), and the TLB miss path
-//     fills in the probe (LookupOrReserve) instead of re-probing.
+//     invalidated it.
 //
-// Tagged keys past policy.KeyIndexBound put the TLB and the unit LRU on
-// the map LRU, which has no fused probe; such a batch takes the scalar
-// path.
+// The resident-hit path probes and refreshes its unit in one step
+// (Touch), and the TLB probe fills on a miss (LookupOrReserve).
 func (m *THP) AccessBatch(vs []uint64) {
-	t, ram := m.tlb, m.ram.flat
-	if !t.Flat() || ram == nil {
-		for _, v := range vs {
-			m.Access(v)
-		}
-		return
-	}
+	t, ram := m.tlb, m.ram
 	rshift := uint(bits.TrailingZeros64(m.cfg.HugePageSize))
 	var prevV, prevKey uint64
 	havePrev := false
@@ -274,24 +236,21 @@ func (m *THP) AccessBatch(vs []uint64) {
 		if m.promoted.Contains(r) {
 			ram.Access(unitHuge(r)) // always a hit; refreshes recency
 			tlbKey = tlbHuge(r)
+		} else if id := unitBase(v); ram.Touch(id) {
+			tlbKey = tlbBase(v)
 		} else {
-			id := unitBase(v)
-			if ram.Touch(id) {
-				tlbKey = tlbBase(v)
+			m.costs.IOs++ // base-page fault
+			m.ex.DemandIO()
+			m.evictUntilFits(1)
+			ram.Access(id)
+			m.used++
+			count := m.resident.At(r) + 1
+			m.resident.Set(r, count)
+			if int(count) >= m.cfg.PromoteThreshold {
+				m.promote(r)
+				tlbKey = tlbHuge(r)
 			} else {
-				m.costs.IOs++
-				m.ex.DemandIO()
-				m.evictUntilFits(1)
-				ram.Access(id)
-				m.used++
-				count := m.resident.At(r) + 1
-				m.resident.Set(r, count)
-				if int(count) >= m.cfg.PromoteThreshold {
-					m.promote(r)
-					tlbKey = tlbHuge(r)
-				} else {
-					tlbKey = tlbBase(v)
-				}
+				tlbKey = tlbBase(v)
 			}
 		}
 		if havePrev && tlbKey == prevKey {

@@ -6,12 +6,21 @@ import "addrxlat/internal/policy"
 // Superpage's regions. Over keys the key-indexed policy.DenseLRU can index
 // it is that; past policy.KeyIndexBound (the tagged page numbers of a
 // replayed sparse trace, say) it is the map-backed policy.LRU, which
-// evicts in the same order. Each method is one predictable branch around
-// a concrete call, so the dense path keeps its inlining and its closures
-// stay on the stack.
+// evicts in the same order. The per-request operations are one interface
+// call on the cache itself; ScanLRU branches to a direct call instead, so
+// that its callback closure stays on the stack.
 type unitLRU struct {
+	unitCache
 	flat   *policy.DenseLRU
 	sparse *policy.LRU // when flat is nil
+}
+
+// unitCache is the part of the LRU API both kinds implement alike.
+type unitCache interface {
+	Access(key uint64) (hit bool, victim uint64)
+	Touch(key uint64) bool
+	Remove(key uint64) bool
+	EvictLRU() (key uint64, ok bool)
 }
 
 // newUnitLRU returns a unit LRU of the given capacity over keys in
@@ -21,55 +30,10 @@ func newUnitLRU(capacity int, keyBound uint64) unitLRU {
 	if err != nil {
 		panic(err) // capacity is validated positive
 	}
-	var u unitLRU
+	u := unitLRU{unitCache: p.(unitCache)}
 	u.flat, _ = p.(*policy.DenseLRU)
 	u.sparse, _ = p.(*policy.LRU)
 	return u
-}
-
-// Access caches key as the most recent unit.
-func (u unitLRU) Access(key uint64) {
-	if u.flat != nil {
-		u.flat.Access(key)
-	} else {
-		u.sparse.Access(key)
-	}
-}
-
-// Touch refreshes key's recency if it is cached, reporting whether it was.
-func (u unitLRU) Touch(key uint64) bool {
-	if u.flat != nil {
-		return u.flat.Touch(key)
-	}
-	if !u.sparse.Contains(key) {
-		return false
-	}
-	u.sparse.Access(key)
-	return true
-}
-
-// Contains reports whether key is cached, without touching recency.
-func (u unitLRU) Contains(key uint64) bool {
-	if u.flat != nil {
-		return u.flat.Contains(key)
-	}
-	return u.sparse.Contains(key)
-}
-
-// Remove drops key, reporting whether it was cached.
-func (u unitLRU) Remove(key uint64) bool {
-	if u.flat != nil {
-		return u.flat.Remove(key)
-	}
-	return u.sparse.Remove(key)
-}
-
-// EvictLRU removes and returns the least recent key, ok=false when empty.
-func (u unitLRU) EvictLRU() (key uint64, ok bool) {
-	if u.flat != nil {
-		return u.flat.EvictLRU()
-	}
-	return u.sparse.EvictLRU()
 }
 
 // ScanLRU calls fn for each cached key from least to most recent until fn

@@ -75,9 +75,6 @@ func newNode(interior bool) *node {
 	return n
 }
 
-// Levels returns the number of radix levels.
-func (t *Table) Levels() int { return t.levels }
-
 // Entries returns the number of mapped base pages (huge-page mappings
 // count as their full page span).
 func (t *Table) Entries() uint64 { return t.entries }

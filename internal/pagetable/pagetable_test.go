@@ -22,8 +22,8 @@ func TestLevels(t *testing.T) {
 		{1 << 36, 4},
 	}
 	for _, c := range cases {
-		if got := New(c.vPages).Levels(); got != c.want {
-			t.Errorf("New(%d).Levels() = %d, want %d", c.vPages, got, c.want)
+		if got := New(c.vPages).levels; got != c.want {
+			t.Errorf("New(%d).levels = %d, want %d", c.vPages, got, c.want)
 		}
 	}
 }

@@ -43,6 +43,17 @@ func (l *LRU) Access(key uint64) (hit bool, victim uint64) {
 	return false, victim
 }
 
+// Touch refreshes key's recency if it is cached, exactly as Access of a
+// resident key would, and reports whether it was; a miss changes nothing
+// (DenseLRU.Touch's contract).
+func (l *LRU) Touch(key uint64) bool {
+	n, ok := l.items[key]
+	if ok {
+		l.order.moveToFront(n)
+	}
+	return ok
+}
+
 // Contains implements Policy.
 func (l *LRU) Contains(key uint64) bool {
 	_, ok := l.items[key]

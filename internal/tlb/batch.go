@@ -1,27 +1,23 @@
 package tlb
 
-// This file holds the TLB's columnar batch kernels: fused variants of the
-// Lookup/Insert pairs the scalar simulators issue per access, specialized
-// to the flat (fully associative, key-indexed LRU) path. Each kernel
-// performs byte-identical state transitions and counter updates to its
-// scalar decomposition — pinned by the differential tests in
-// batch_test.go — while reading each key's node once per access instead
-// of twice.
-
-// Flat reports whether the TLB runs on the key-indexed LRU. The batch
-// kernels below require it; callers with a generic-policy TLB keep the
-// scalar path.
-func (t *TLB) Flat() bool { return t.flat != nil }
+// This file holds the TLB's batch kernels: fused variants of the
+// Lookup/Insert pair the simulators issue per access. Each performs
+// byte-identical state transitions and counter updates to its
+// Lookup-then-Insert decomposition on every policy — pinned by the
+// differential tests in batch_test.go — while reading each key once per
+// access instead of twice.
 
 // LookupOrReserve is Lookup fused with the miss-side Insert: on a hit it
 // refreshes recency and counts the hit; on a miss it counts the miss and
-// caches u, evicting per LRU. It is exactly
+// caches u, evicting per the policy. It is exactly
 //
 //	if !t.Lookup(u) { t.Insert(u) }
 //
-// in one access instead of two. Flat TLBs only.
+// as one policy Access: both sides of that decomposition are one Access
+// of u, and Access reports whether u was cached. The single call keeps
+// it inlinable into the kernels.
 func (t *TLB) LookupOrReserve(u uint64) bool {
-	hit, _ := t.flat.Access(u)
+	hit, _ := t.cache.Access(u)
 	if hit {
 		t.hits++
 	} else {
@@ -32,28 +28,33 @@ func (t *TLB) LookupOrReserve(u uint64) bool {
 
 // NoteRepeatHit records a lookup of the key the previous lookup on this
 // TLB touched (hit or inserted — either way it is the most recently used
-// entry). Such a lookup is a guaranteed hit whose move-to-front is a
-// no-op, so only the hit counter advances. Batch kernels use it to
-// collapse run-length repeats without probing the node array.
+// entry). Under LRU such a lookup is a guaranteed hit whose move-to-front
+// is a no-op, so only the hit counter advances. Batch kernels over an LRU
+// TLB use it to collapse run-length repeats without probing the cache.
 func (t *TLB) NoteRepeatHit() { t.hits++ }
 
-// ProbeFill scans one request column over the flat path: each request v
-// probes key v>>shift and, on a miss, immediately caches it; the missed
-// keys are appended to miss (the caller's packed miss list, e.g.
-// Decoupled's reused miss column) in access order. Consecutive requests
-// with equal keys collapse to one probe — the repeats are guaranteed MRU
-// hits. State transitions and hit/miss counters are byte-identical to
-// calling
+// ProbeFill scans one request column: each request v probes key v>>shift
+// and, on a miss, immediately caches it; the missed keys are appended to
+// miss (the caller's packed miss list, e.g. Decoupled's reused miss
+// column) in access order, and the extended list is returned. State
+// transitions and hit/miss counters are byte-identical to calling
 //
 //	if !t.Lookup(v >> shift) { t.Insert(v >> shift) }
 //
-// per request. It returns the appended-to miss list and ok=false (with no
-// state touched) when the TLB is not flat.
-func (t *TLB) ProbeFill(vs []uint64, shift uint, miss []uint64) (_ []uint64, ok bool) {
-	if t.flat == nil {
-		return miss, false
-	}
+// per request. On the key-indexed LRU, consecutive requests with equal
+// keys collapse to one probe — the repeats are guaranteed MRU hits. Other
+// policies (whose repeats can move state, as ARC's T1→T2 promotion or
+// LFU's count does) probe every request.
+func (t *TLB) ProbeFill(vs []uint64, shift uint, miss []uint64) []uint64 {
 	fl := t.flat
+	if fl == nil {
+		for _, v := range vs {
+			if u := v >> shift; !t.LookupOrReserve(u) {
+				miss = append(miss, u)
+			}
+		}
+		return miss
+	}
 	var hits, misses uint64
 	var prevU uint64
 	havePrev := false
@@ -73,5 +74,5 @@ func (t *TLB) ProbeFill(vs []uint64, shift uint, miss []uint64) (_ []uint64, ok 
 	}
 	t.hits += hits
 	t.misses += misses
-	return miss, true
+	return miss
 }

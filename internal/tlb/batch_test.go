@@ -49,7 +49,7 @@ func TestProbeFillMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !col.Flat() || ref.Flat() {
+		if col.flat == nil || ref.flat != nil {
 			t.Fatal("want a flat TLB checked against a map-backed one")
 		}
 		vs := batchTrace(seed, 30000, shift)
@@ -60,10 +60,7 @@ func TestProbeFillMatchesScalar(t *testing.T) {
 			chunk := vs[lo:hi]
 			const sentinel = ^uint64(0)
 			miss = append(miss[:0], sentinel) // prefix must survive the append contract
-			got, ok := col.ProbeFill(chunk, shift, miss)
-			if !ok {
-				t.Fatal("ProbeFill refused a flat TLB")
-			}
+			got := col.ProbeFill(chunk, shift, miss)
 			var want []uint64
 			for _, v := range chunk {
 				u := v >> shift
@@ -132,22 +129,60 @@ func TestLookupOrReserveMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestProbeFillRequiresFlat pins the graceful refusal on a non-flat TLB:
-// no state or counter may change.
-func TestProbeFillRequiresFlat(t *testing.T) {
-	tl, err := New(16, 0, policy.ARCKind, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Flat() {
-		t.Skip("ARC TLB unexpectedly flat")
-	}
-	buf := []uint64{11, 22}
-	got, ok := tl.ProbeFill([]uint64{1, 2, 3}, 0, buf)
-	if ok {
-		t.Fatal("ProbeFill accepted a non-flat TLB")
-	}
-	if len(got) != 2 || got[0] != 11 || got[1] != 22 || tl.Hits() != 0 || tl.Misses() != 0 {
-		t.Fatal("refused ProbeFill mutated state")
+// TestProbeFillGenericMatchesScalar pins both fused kernels on TLBs off
+// the key-indexed LRU — ARC, whose repeat access promotes T1→T2, and the
+// other stateful policies — against a twin driven by Lookup followed by
+// Insert per request: the packed miss list, the hit/miss counters and the
+// cached keys must agree after every chunk, so neither kernel may
+// collapse a repeat there.
+func TestProbeFillGenericMatchesScalar(t *testing.T) {
+	const shift, entries = 4, 32
+	for _, kind := range []policy.Kind{policy.ARCKind, policy.LFUKind, policy.TwoQKind, policy.ClockKind, policy.RandomKind} {
+		mk := func() *TLB {
+			tl, err := New(entries, 0, kind, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tl.flat != nil {
+				t.Fatalf("%s TLB runs on the key-indexed LRU", kind)
+			}
+			return tl
+		}
+		probe, fused, ref := mk(), mk(), mk()
+		vs := batchTrace(uint64(len(kind)), 20000, shift)
+		for lo := 0; lo < len(vs); lo += 333 {
+			chunk := vs[lo:min(lo+333, len(vs))]
+			got := probe.ProbeFill(chunk, shift, nil)
+			var want []uint64
+			for _, v := range chunk {
+				u := v >> shift
+				if fused.LookupOrReserve(u) != ref.Lookup(u) {
+					t.Fatalf("%s: LookupOrReserve(%d) disagrees with Lookup", kind, u)
+				}
+				if !ref.Contains(u) {
+					ref.Insert(u)
+					want = append(want, u)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s chunk at %d: %d misses packed, scalar has %d", kind, lo, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s chunk at %d: miss[%d] = %d, scalar says %d", kind, lo, i, got[i], want[i])
+				}
+			}
+			for _, tl := range []*TLB{probe, fused} {
+				if tl.Hits() != ref.Hits() || tl.Misses() != ref.Misses() || tl.Len() != ref.Len() {
+					t.Fatalf("%s chunk at %d: counters (h=%d,m=%d,len=%d) != scalar (h=%d,m=%d,len=%d)",
+						kind, lo, tl.Hits(), tl.Misses(), tl.Len(), ref.Hits(), ref.Misses(), ref.Len())
+				}
+			}
+		}
+		for u := uint64(0); u < 4096; u++ {
+			if probe.Contains(u) != ref.Contains(u) || fused.Contains(u) != ref.Contains(u) {
+				t.Fatalf("%s: residency of key %d diverged", kind, u)
+			}
+		}
 	}
 }

@@ -134,8 +134,8 @@ func TestKeyBoundPicksPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tl.Flat() != c.flat {
-			t.Fatalf("bound %d: flat = %v, want %v", c.bound, tl.Flat(), c.flat)
+		if (tl.flat != nil) != c.flat {
+			t.Fatalf("bound %d: flat = %v, want %v", c.bound, tl.flat != nil, c.flat)
 		}
 	}
 	tl, _ := New(4, 1<<40, policy.LRUKind, 1)

@@ -234,8 +234,5 @@ func (as *AddressSpace) MappedPages() uint64 {
 // TouchedPages returns how many pages have been demand-faulted.
 func (as *AddressSpace) TouchedPages() uint64 { return uint64(as.touched.Len()) }
 
-// Regions returns the number of mapped regions.
-func (as *AddressSpace) Regions() int { return len(as.regions) }
-
 // PageTable exposes the underlying page table (walk counters etc.).
 func (as *AddressSpace) PageTable() *pagetable.Table { return as.pt }

@@ -53,8 +53,8 @@ func TestMmapPlacement(t *testing.T) {
 	if a%PageBytes != 0 || b%PageBytes != 0 {
 		t.Fatal("unaligned mapping bases")
 	}
-	if as.Regions() != 2 || as.MappedPages() != 32 {
-		t.Fatalf("regions=%d pages=%d", as.Regions(), as.MappedPages())
+	if len(as.regions) != 2 || as.MappedPages() != 32 {
+		t.Fatalf("regions=%d pages=%d", len(as.regions), as.MappedPages())
 	}
 	if _, err := as.Mmap(0); err == nil {
 		t.Error("zero-page mmap should error")

@@ -41,8 +41,8 @@ type RingStats struct {
 // through a depth-K ring of reusable buffers, produced by a dedicated
 // goroutine running ahead of its consumers and released by reference
 // count: a buffer is recycled only when every attached consumer has
-// passed it. It generalizes the double-buffered single-consumer Source
-// in two directions the pipelined row executor needs:
+// passed it. Beyond a double-buffered single-consumer stream it offers
+// the two things the pipelined row executor needs:
 //
 //   - Multiple consumers, each with its own cursor: consumer i calls
 //     Get(seq) for seq = 0, 1, 2, … at its own pace; the ring bounds the
@@ -50,7 +50,7 @@ type RingStats struct {
 //   - Segments: the stream is a concatenation of per-segment request
 //     counts (the harness's warmup and measured windows). Chunks never
 //     straddle a segment boundary — each segment is chunked from zero
-//     exactly as a dedicated Source per window would — so consumers can
+//     exactly as a dedicated stream per window would — so consumers can
 //     reset counters at the boundary without a global barrier.
 //
 // The chunk sequence concatenates to exactly the requests repeated
@@ -291,8 +291,8 @@ func (r *Ring) DetachFrom(seq int) {
 // chunk-generation time away). That join is what makes trace export
 // safe: the producer emits trailing wait spans and counter samples into
 // its timeline after its last publish, so a Tracer must not be read
-// until Stop has returned. Every executor path Stops its ring (or
-// Source) before exporting.
+// until Stop has returned. Every executor path Stops its ring before
+// exporting.
 func (r *Ring) Stop() {
 	r.mu.Lock()
 	if !r.stopped {

@@ -31,10 +31,15 @@ type BatchGenerator interface {
 	NextBatch(dst []uint64)
 }
 
+// DefaultChunk is the chunk size the experiment harness streams with:
+// large enough to amortize per-chunk synchronization to noise, small
+// enough that a chunk (512 KiB) stays cache- and memory-friendly.
+const DefaultChunk = 1 << 16
+
 // Fill fills dst with the next len(dst) requests from g, through the
 // generator's batch path when it has one. It is the single fill-dispatch
-// point shared by the streaming producer (Source) and the materializing
-// harnesses (Take).
+// point shared by the streaming producer (Ring), chunked writers
+// (cmd/tracegen) and the materializing harnesses (Take).
 func Fill(g Generator, dst []uint64) {
 	if b, ok := g.(BatchGenerator); ok {
 		b.NextBatch(dst)
@@ -103,7 +108,7 @@ func (b *Bimodal) Next() uint64 {
 
 // NextBatch implements BatchGenerator: the same draws as repeated Next calls —
 // identical RNG sequence, so the stream is byte-identical — but looped
-// over the concrete receiver, so chunked fills (workload.Fill, Source)
+// over the concrete receiver, so chunked fills (workload.Fill, Ring)
 // pay one interface call per chunk instead of one per request.
 func (b *Bimodal) NextBatch(dst []uint64) {
 	for i := range dst {

@@ -66,7 +66,7 @@ const (
 
 // Wait-span names: where a worker's non-busy time went.
 const (
-	WaitGeneration = "wait generation" // blocked in Ring.Get / Source.Next
+	WaitGeneration = "wait generation" // blocked in Ring.Get
 	WaitAdmission  = "wait admission"  // blocked on the Workers gate
 	WaitConsumers  = "wait consumers"  // producer blocked on a full ring
 )
