@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"fmt"
 	"testing"
 
 	"addrxlat/internal/core"
@@ -59,6 +60,11 @@ func TestAlgorithmsGenericProperties(t *testing.T) {
 	for i, a := range allAlgorithms(t, 5) {
 		a := a
 		name := a.Name()
+		if n, ok := a.(*Nested); ok {
+			// The subtest keeps the label it had before Nested.Name
+			// carried the TLB sizes, so its name stays stable.
+			name = fmt.Sprintf("nested(hg=%d,hh=%d)", n.cfg.GuestHugePageSize, n.cfg.HostHugePageSize)
+		}
 		t.Run(name, func(t *testing.T) {
 			prev := Costs{}
 			for step, v := range reqs {
